@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import NotDistributive, SizeLimitExceeded, UnknownElement
-from .lattice import Lattice, join_irreducibles
+from .lattice import Edge, Lattice, join_irreducibles, set_family_tables
 from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
@@ -22,8 +22,6 @@ from .poset import (
     is_isomorphic,
     order_ideal_masks,
 )
-
-Edge = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -73,20 +71,13 @@ def ideals_lattice(
     namer = namer or brace_name
     masks = order_ideal_masks(p, cap)
     m = len(masks)
+    width = max(1, -(-p.n // 64))
+    words = np.frombuffer(
+        b"".join(mask.to_bytes(8 * width, "little") for mask in masks), dtype="<u8"
+    ).reshape(m, width)
+    leq, meet, join = set_family_tables(words)
     index = {mask: i for i, mask in enumerate(masks)}
     names = [namer(tuple(p.names[i] for i in _mask_indices(mask))) for mask in masks]
-
-    leq = np.zeros((m, m), dtype=bool)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            leq[i, j] = a & ~b == 0
-    meet = np.zeros((m, m), dtype=np.int16)
-    join = np.zeros((m, m), dtype=np.int16)
-    for i, a in enumerate(masks):
-        for j in range(i, m):
-            b = masks[j]
-            meet[i, j] = meet[j, i] = index[a & b]
-            join[i, j] = join[j, i] = index[a | b]
     lattice = Lattice(
         Poset(names, leq), meet, join, index[0], index[masks[-1]],
         verify=m <= 600,

@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownVariable,
 )
-from .lattice import Lattice
+from .lattice import Lattice, set_family_tables
 from .poset import Poset, _mask_indices
 
 GENERATE_CAP = 5
@@ -316,41 +316,14 @@ def generate_lattice(n: int, extended: bool = False, cap: int = GENERATE_CAP) ->
         raise ValueError("need at least one generator")
     elements = enumerate_elements(n, extended)
     tts = np.array([e.truth_table() for e in elements], dtype=np.uint64)
-    order = np.lexsort((tts, _popcounts(tts)))
+    bits = np.unpackbits(tts.view(np.uint8).reshape(len(tts), -1), axis=1)
+    order = np.lexsort((tts, bits.sum(axis=1)))
     elements = [elements[i] for i in order]
-    tts = tts[order]
     names = [
         "0̂" if e.is_bottom else "1̂" if e.is_top else render(e) for e in elements
     ]
-
-    m = len(elements)
-    leq = np.zeros((m, m), dtype=bool)
-    block = max(1, 2**22 // max(m, 1))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        leq[start:stop] = (tts[start:stop, None] & ~tts[None, :]) == 0
-
-    perm = np.argsort(tts, kind="stable")
-    sorted_tts = tts[perm]
-    meet = np.zeros((m, m), dtype=np.int16)
-    join = np.zeros((m, m), dtype=np.int16)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        ands = tts[start:stop, None] & tts[None, :]
-        ors = tts[start:stop, None] | tts[None, :]
-        meet[start:stop] = perm[np.searchsorted(sorted_tts, ands)]
-        join[start:stop] = perm[np.searchsorted(sorted_tts, ors)]
-    lattice = Lattice(Poset(names, leq), meet, join, 0, m - 1)
-    return lattice
-
-
-def _popcounts(tts: np.ndarray) -> np.ndarray:
-    out = np.zeros(tts.shape, dtype=np.int64)
-    work = tts.copy()
-    while work.any():
-        out += (work & 1).astype(np.int64)
-        work >>= 1
-    return out
+    leq, meet, join = set_family_tables(tts[order, None])
+    return Lattice(Poset(names, leq), meet, join, 0, len(elements) - 1)
 
 
 def dedekind_count(n: int) -> int:

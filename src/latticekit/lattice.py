@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -20,14 +20,19 @@ from .poset import Poset, dual_poset
 
 VERIFY_LIMIT = 2000  # exhaustive table verification cap
 RANK_IRREDUCIBLE_CAP = 20
+TABLE_LIMIT = int(np.iinfo(np.int16).max)  # largest element count int16 tables index
+TABLE_BLOCK_CELLS = 2**16  # 64-bit words of working space per row block (512 KB)
+
+Edge = tuple[str, str]
 
 
 class Lattice:
     """A finite lattice: poset plus full n-by-n meet and join index tables.
 
-    Tables are int16 numpy arrays (all target lattices stay well below
-    32768 elements); lookups are O(1).  Instances are immutable and safe
-    for concurrent reads.
+    Tables are int16 numpy arrays, so a lattice has at most
+    ``TABLE_LIMIT`` (32767) elements; the table builders raise
+    :class:`SizeLimitExceeded` before allocating anything larger.  Lookups
+    are O(1).  Instances are immutable and safe for concurrent reads.
     """
 
     def __init__(
@@ -181,25 +186,83 @@ def as_lattice(p: Poset) -> Lattice:
     """Promote a poset to a lattice, verifying unique lubs and glbs.
 
     Raises :class:`NotALattice` with the witness pair and its set of
-    minimal upper (or maximal lower) bounds.
+    minimal upper (or maximal lower) bounds; the pair is the first failing
+    one with a ascending, b >= a, join checked before meet.
     """
     n = p.n
     if n == 0:
         raise NotALattice((None, None), [], "empty")
-    up, down = p.up_masks, p.down_masks
-    meet = np.zeros((n, n), dtype=np.int16)
-    join = np.zeros((n, n), dtype=np.int16)
-    for a in range(n):
-        for b in range(a, n):
-            j = _unique_least(up[a] & up[b], down, p, a, b, "join")
-            m = _unique_least(down[a] & down[b], up, p, a, b, "meet")
-            join[a, b] = join[b, a] = j
-            meet[a, b] = meet[b, a] = m
+    _check_table_size(n)
+    topo = np.array(p.topo_order)
+    join, join_bad = _least_bounds(p.leq, topo)
+    meet, meet_bad = _least_bounds(p.leq.T, topo[::-1])
+    bad = np.nonzero(join_bad | meet_bad)[0]
+    if bad.size:  # the first flagged row holds the pair loop's first failure
+        _raise_first_failure(p, int(bad[0]))
     bottom, top = 0, 0
     for a in range(n):
         bottom = int(meet[bottom, a])
         top = int(join[top, a])
     return Lattice(p, meet, join, bottom, top, verify=n <= VERIFY_LIMIT)
+
+
+def _check_table_size(n: int) -> None:
+    """Raise :class:`SizeLimitExceeded` when n elements overflow int16 tables."""
+    if n > TABLE_LIMIT:
+        raise SizeLimitExceeded(
+            f"meet/join tables hold at most {TABLE_LIMIT} elements (got {n})"
+        )
+
+
+# first set bit of a byte, counted from the most significant one (packbits
+# order); an empty byte reads as 0, and the candidate it yields then fails
+# the bound check
+_FIRST_BIT = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
+_FIRST_BIT[0] = 0
+
+
+def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least common bound of every pair, and the rows where one is missing.
+
+    ``bounds[i]`` is the boolean row of elements bounding i (its up-set for
+    joins, its down-set for meets).  ``order`` lists each element after
+    every other element it bounds, so the first common bound of a and b in
+    ``order`` is a minimal one; it is the least exactly when its own bound
+    row equals the common bound row.  ``bad[a]`` is set when that check
+    fails for a pair (a, b) with b >= a, or with b < a in a's row block.
+    """
+    n = len(order)
+    packed = np.packbits(bounds[:, order], axis=1)
+    words = -(-packed.shape[1] // 8)
+    rows = np.zeros((n, 8 * words), dtype=np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    rows = rows.view(np.uint64)  # bytes keep packbits order in memory
+    block = max(1, TABLE_BLOCK_CELLS // (n * words))
+    table = np.empty((n, n), dtype=np.int16)
+    bad = np.zeros(n, dtype=bool)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        common = rows[start:stop, None, :] & rows[None, start:, :]
+        word = (common != 0).argmax(axis=2)[..., None]
+        first = np.take_along_axis(common, word, axis=2).view(np.uint8)
+        byte = (first != 0).argmax(axis=2)[..., None]
+        bit = _FIRST_BIT[np.take_along_axis(first, byte, axis=2)]
+        candidate = order[(64 * word + 8 * byte + bit)[..., 0]]
+        least = (rows[candidate] == common).all(axis=2)
+        table[start:stop, start:] = candidate
+        table[start:, start:stop] = candidate.T
+        bad[start:stop] = ~least.all(axis=1)
+    return table, bad
+
+
+def _raise_first_failure(p: Poset, a: int) -> None:
+    """Raise the NotALattice of the first failing pair in row ``a``, walking
+    b upward from a with the join checked before the meet."""
+    up, down = p.up_masks, p.down_masks
+    for b in range(a, p.n):
+        _unique_least(up[a] & up[b], down, p, a, b, "join")
+        _unique_least(down[a] & down[b], up, p, a, b, "meet")
+    raise RuntimeError(f"row {a} was flagged but all its bounds are unique")
 
 
 def _unique_least(bounds: int, opposite: tuple[int, ...], p: Poset, a, b, kind):
@@ -222,11 +285,55 @@ def _unique_least(bounds: int, opposite: tuple[int, ...], p: Poset, a, b, kind):
     return minimal[0]
 
 
-def lattice_from_le_pairs(names: Sequence[str], le_pairs, **kw) -> Lattice:
-    """Convenience: build the poset from arbitrary <= pairs, then promote."""
-    from .poset import build_poset
+def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order, meet and join tables of a family of sets closed under
+    intersection and union.
 
-    return as_lattice(build_poset(names, le_pairs, **kw))
+    ``members`` is an (m, words) uint64 array holding one set per row as a
+    bit mask.  Returns ``leq`` (row i is a subset of row j) and the int16
+    ``meet`` and ``join`` tables (row index of the intersection and of the
+    union).  Raises :class:`SizeLimitExceeded` when m exceeds
+    ``TABLE_LIMIT`` and ValueError when a set repeats or an intersection or
+    union is not in the family.
+    """
+    members = np.ascontiguousarray(members, dtype=np.uint64)
+    m = len(members)
+    _check_table_size(m)
+    keys = _set_keys(members)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise ValueError("set family has a repeated member")
+    meet = np.empty((m, m), dtype=np.int16)
+    join = np.empty((m, m), dtype=np.int16)
+    block = max(1, TABLE_BLOCK_CELLS // max(m * members.shape[1], 1))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        for table, op, name in (
+            (meet, np.bitwise_and, "intersection"),
+            (join, np.bitwise_or, "union"),
+        ):
+            wanted = _set_keys(op(members[start:stop, None], members[None, start:]))
+            pos = np.minimum(np.searchsorted(sorted_keys, wanted), m - 1)
+            missing = sorted_keys[pos] != wanted
+            if missing.any():
+                i, j = np.argwhere(missing)[0]
+                raise ValueError(
+                    f"set family not closed under {name}: "
+                    f"rows {start + i} and {start + j}"
+                )
+            found = order[pos]
+            table[start:stop, start:] = found
+            table[start:, start:stop] = found.T
+    leq = meet == np.arange(m)[:, None]
+    return leq, meet, join
+
+
+def _set_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per set: the word itself, or the words' bytes."""
+    width = words.shape[-1]
+    dtype = np.uint64 if width == 1 else np.dtype(f"S{8 * width}")
+    return np.ascontiguousarray(words).view(dtype)[..., 0]
 
 
 # -- grading -----------------------------------------------------------------

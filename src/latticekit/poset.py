@@ -83,7 +83,8 @@ class Poset:
     def covers_matrix(self) -> np.ndarray:
         """Boolean matrix of the transitive reduction (j covers i)."""
         lt = self.leq & ~np.eye(self.n, dtype=bool)
-        ltf = lt.astype(np.float64)
+        # float32 counts are exact: each is at most n - 2, far below 2**24
+        ltf = lt.astype(np.float32)
         between = (ltf @ ltf) > 0.5  # some k with i < k < j
         out = lt & ~between
         out.flags.writeable = False

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChainCapExceeded, NotMaximalChain, NotModular
-from .lattice import Lattice, grade
+from .lattice import Edge, Lattice, grade
 
 DEFAULT_CHAIN_CAP = 1_000_000
 
@@ -231,9 +231,6 @@ def is_distributive(l: Lattice) -> DistributivityReport:
 
 
 # -- interval equivalence classes -----------------------------------------------------
-
-
-Edge = tuple[str, str]
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,40 @@
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import latticekit as lk
 from latticekit import catalog
+from latticekit import lattice as lattice_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# row-block sizes for the table builders: the default, and one so small
+# that every input spans several blocks
+BLOCK_CELLS = (lattice_module.TABLE_BLOCK_CELLS, 16)
+
+
+def table_blocks(cells):
+    """Run the table builders with row blocks of ``cells`` cells."""
+    return mock.patch.object(lattice_module, "TABLE_BLOCK_CELLS", cells)
+
+
+def reference_set_tables(sets):
+    """Pair-loop reference over sets as Python ints: subset order, and the
+    positions of intersections and unions."""
+    index = {s: i for i, s in enumerate(sets)}
+    m = len(sets)
+    leq = np.zeros((m, m), dtype=bool)
+    meet = np.zeros((m, m), dtype=np.int16)
+    join = np.zeros((m, m), dtype=np.int16)
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            leq[i, j] = a & ~b == 0
+            meet[i, j] = index[a & b]
+            join[i, j] = index[a | b]
+    return leq, meet, join
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,21 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
+from latticekit.poset import order_ideal_masks
 
-from conftest import distributive_fixture_lattices
+from conftest import (
+    BLOCK_CELLS,
+    distributive_fixture_lattices,
+    reference_set_tables,
+    table_blocks,
+)
 
 
 class TestIdealsLattice:
@@ -50,6 +59,45 @@ class TestIdealsLattice:
     def test_cap(self):
         with pytest.raises(lk.SizeLimitExceeded):
             lk.ideals_lattice(catalog.antichain_poset(5), cap=10)
+
+
+def assert_matches_reference(p, cells):
+    with table_blocks(cells):
+        l = lk.ideals_lattice(p).lattice
+    # the reference runs the pair loop over the same down-set order
+    leq, meet, join = reference_set_tables(order_ideal_masks(p))
+    assert np.array_equal(l.leq, leq)
+    assert np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
+    assert (l.bottom_index, l.top_index) == (0, len(leq) - 1)
+
+
+@st.composite
+def random_posets(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    names = [f"e{i}" for i in range(n)]
+    pairs = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    return lk.build_poset(draw(st.permutations(names)), pairs, warn_redundant=False)
+
+
+class TestIdealsTablesMatchPairLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(random_posets(), st.sampled_from(BLOCK_CELLS))
+    def test_random_posets(self, p, cells):
+        assert_matches_reference(p, cells)
+
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    def test_wider_than_one_word(self, cells):
+        # a 70-chain plus two incomparable points: masks need two words
+        names = [f"c{i}" for i in range(70)] + ["u", "v"]
+        covers = [(f"c{i}", f"c{i + 1}") for i in range(69)]
+        p = lk.build_poset(names, covers)
+        assert lk.ideals_lattice(p).n == 71 * 4
+        assert_matches_reference(p, cells)
 
 
 class TestIrreduciblePoset:

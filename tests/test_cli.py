@@ -95,6 +95,17 @@ class TestBirkhoffVerbs:
         code, out, _ = run(capsys, "birkhoff", "roundtrip", FIXTURES / "divisor12.json")
         assert code == 0 and "ok" in out
 
+    def test_ideals_past_table_limit(self, capsys, tmp_path):
+        # a 16-element antichain has 2^16 down-sets, more than int16 tables hold
+        wide = tmp_path / "antichain16.json"
+        wide.write_text(
+            json.dumps({"elements": [f"x{i}" for i in range(16)], "covers": []})
+        )
+        code, out, err = run(capsys, "birkhoff", "ideals", wide)
+        assert code == 3
+        assert "size limit" in err and "65536" in err
+        assert "Traceback" not in err and out == ""
+
     def test_irr_rejects_nonmodular(self, capsys):
         code, _, err = run(capsys, "birkhoff", "irr", FIXTURES / "n5.json")
         assert code == 2 and "distributiv" in err

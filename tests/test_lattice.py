@@ -1,9 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
+from latticekit.lattice import TABLE_LIMIT, set_family_tables
+
+from conftest import BLOCK_CELLS, reference_set_tables, table_blocks
 
 
 def set_name(s):
@@ -238,3 +245,118 @@ class TestUniversalProperty:
                 assert l.join_of(a, l.meet_of(a, b)) == a
                 assert (l.le(b, a) == (l.meet_of(a, b) == b)
                         == (l.join_of(a, b) == a))
+
+
+# -- vectorized table builders against the pair loops they replaced ------------
+
+
+def reference_as_lattice(p):
+    """Pair-loop reference: for a ascending and b >= a, the unique minimal
+    common upper bound, then the unique maximal common lower bound, found by
+    scanning bit masks.  Returns (meet, join, bottom, top) or raises the
+    same NotALattice the library documents."""
+    n = p.n
+    up = [sum(1 << j for j in range(n) if p.leq[i, j]) for i in range(n)]
+    down = [sum(1 << j for j in range(n) if p.leq[j, i]) for i in range(n)]
+
+    def unique(bounds, opposite, a, b, kind):
+        if bounds == 0:
+            raise lk.NotALattice((p.names[a], p.names[b]), [], kind)
+        minimal = [
+            i for i in range(n)
+            if bounds >> i & 1 and opposite[i] & bounds & ~(1 << i) == 0
+        ]
+        if len(minimal) != 1:
+            raise lk.NotALattice(
+                (p.names[a], p.names[b]), [p.names[i] for i in minimal], kind
+            )
+        return minimal[0]
+
+    meet = np.zeros((n, n), dtype=np.int16)
+    join = np.zeros((n, n), dtype=np.int16)
+    for a in range(n):
+        for b in range(a, n):
+            join[a, b] = join[b, a] = unique(up[a] & up[b], down, a, b, "join")
+            meet[a, b] = meet[b, a] = unique(down[a] & down[b], up, a, b, "meet")
+    bottom = next(i for i in range(n) if p.leq[i].all())
+    top = next(i for i in range(n) if p.leq[:, i].all())
+    return meet, join, bottom, top
+
+
+@st.composite
+def shuffled_posets(draw):
+    """Random posets of at most 9 elements, often with an adjoined bottom
+    and top, listed in an order that need not be a linear extension."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    names = [f"e{i}" for i in range(n)]
+    pairs = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    if draw(st.booleans()):
+        pairs += [("lo", x) for x in names] + [(x, "hi") for x in names]
+        names = ["lo"] + names + ["hi"]
+    names = draw(st.permutations(names))
+    return lk.build_poset(names, pairs, warn_redundant=False)
+
+
+class TestAsLatticeMatchesPairLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_posets(), st.sampled_from(BLOCK_CELLS))
+    def test_random_posets(self, p, cells):
+        try:
+            expected = reference_as_lattice(p)
+        except lk.NotALattice as exc:
+            with pytest.raises(lk.NotALattice) as got, table_blocks(cells):
+                lk.as_lattice(p)
+            assert (got.value.pair, got.value.candidates, got.value.kind) == (
+                exc.pair, exc.candidates, exc.kind
+            )
+            assert str(got.value) == str(exc)
+            return
+        with table_blocks(cells):
+            l = lk.as_lattice(p)
+        meet, join, bottom, top = expected
+        assert np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
+        assert (l.bottom_index, l.top_index) == (bottom, top)
+
+    def test_size_limit_before_allocation(self):
+        too_big = SimpleNamespace(n=TABLE_LIMIT + 1)
+        with pytest.raises(lk.SizeLimitExceeded, match="32768"):
+            lk.as_lattice(too_big)
+
+
+class TestSetFamilyTables:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    def test_free_lattice_matches_truth_tables(self, n, extended, cells):
+        elements = sorted(
+            fd.enumerate_elements(n, extended),
+            key=lambda e: (bin(e.truth_table()).count("1"), e.truth_table()),
+        )
+        with table_blocks(cells):
+            l = fd.generate_lattice(n, extended=extended)
+        names = [
+            "0̂" if e.is_bottom else "1̂" if e.is_top else fd.render(e)
+            for e in elements
+        ]
+        assert l.names == tuple(names)
+        leq, meet, join = reference_set_tables([e.truth_table() for e in elements])
+        assert np.array_equal(l.leq, leq)
+        assert np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
+
+    def test_not_closed_is_an_error(self):
+        with pytest.raises(ValueError, match="union"):
+            set_family_tables(np.array([[0], [1], [2], [1 | 2 | 4]], dtype=np.uint64))
+
+    def test_repeated_member_is_an_error(self):
+        with pytest.raises(ValueError, match="repeated"):
+            set_family_tables(np.array([[0], [1], [1]], dtype=np.uint64))
+
+    def test_size_limit_before_allocation(self):
+        members = np.arange(TABLE_LIMIT + 1, dtype=np.uint64)[:, None]
+        with pytest.raises(lk.SizeLimitExceeded, match="32768"):
+            set_family_tables(members)
