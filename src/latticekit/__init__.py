@@ -32,6 +32,7 @@ from .errors import (
     EmbeddingFailure,
     InconsistentOrder,
     InvalidSpec,
+    InvariantViolation,
     LatticeError,
     NotALattice,
     NotComparable,

@@ -2,7 +2,9 @@
 
 Verbs: check, birkhoff, stanley, freedist, dedekind, reconstruct, render,
 factors.  JSON in, JSON/DOT out.  Exit codes: 0 success (or property
-true), 1 property false (check verbs), 2 input error, 3 size limit.
+true), 1 property false (check verbs), 2 input error, 3 size limit,
+4 invariant violated (equivalent criteria disagreed: a latticekit defect,
+not an input error).
 The environment variable LATTICE_LIMIT overrides enumeration caps
 globally; ``--limit`` overrides it per invocation.
 """
@@ -16,8 +18,7 @@ import sys
 from pathlib import Path
 
 from . import birkhoff, freedist, io, properties
-from .errors import LatticeError, SizeLimitExceeded
-from .lattice import grade
+from .errors import InvariantViolation, LatticeError, SizeLimitExceeded
 from .poset import DEFAULT_IDEAL_CAP
 from .reconstruct import element_factors, load_spec
 from .reconstruct import reconstruct as run_reconstruction
@@ -35,6 +36,9 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -173,7 +177,7 @@ def _cmd_check(args, limit) -> int:
             print(f"  degree inequality fails at {rep.violation}")
         return 1
     if prop == "graded":
-        g = grade(l)
+        g = l.grading
         if g.graded:
             top_degree = g.degree[l.top]
             print(f"graded: true (degree {top_degree})")

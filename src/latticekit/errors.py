@@ -25,6 +25,14 @@ class ChainCapExceeded(SizeLimitExceeded):
     """Explicit maximal-chain enumeration would exceed the chain cap."""
 
 
+class InvariantViolation(LatticeError):
+    """Equivalent criteria, or two computations of one result, disagree.
+
+    Raised instead of asserting, so the check also runs under ``python -O``;
+    it signals a defect in latticekit rather than bad input.
+    """
+
+
 class NotALattice(LatticeError):
     """Some pair of elements has no unique lub or glb.
 

@@ -32,7 +32,8 @@ class Lattice:
     Tables are int16 numpy arrays, so a lattice has at most
     ``TABLE_LIMIT`` (32767) elements; the table builders raise
     :class:`SizeLimitExceeded` before allocating anything larger.  Lookups
-    are O(1).  Instances are immutable and safe for concurrent reads.
+    are O(1).  Instances are immutable and safe for concurrent reads; the
+    grading, the dual and the property verdicts are computed once and kept.
     """
 
     def __init__(
@@ -52,6 +53,8 @@ class Lattice:
         self.join.flags.writeable = False
         self.bottom_index = int(bottom)
         self.top_index = int(top)
+        # property reports, each stored by latticekit.properties on first use
+        self.verdicts: dict[str, object] = {}
         if verify and self.n <= VERIFY_LIMIT:
             self._verify()
 

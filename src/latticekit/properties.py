@@ -2,24 +2,57 @@
 and the Jordan-Holder multiplicity invariant for modular lattices.
 
 Each top-level predicate evaluates every equivalent criterion the theory
-offers (identity form, degree form, forbidden sublattice) and asserts that
-they agree before answering.
+offers (identity form, degree form, forbidden sublattice) and checks that
+they agree before answering; a disagreement raises
+:class:`InvariantViolation`, which ``python -O`` does not strip.  A lattice
+is immutable, so ``is_modular`` and ``is_distributive`` judge each lattice
+once and keep the report on it: later calls return the same object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ChainCapExceeded, NotMaximalChain, NotModular
-from .lattice import Edge, Lattice, grade
+from .errors import ChainCapExceeded, InvariantViolation, NotMaximalChain, NotModular
+from .lattice import Edge, Lattice
 
 DEFAULT_CHAIN_CAP = 1_000_000
 
 
+def _judged_once(check):
+    """Store ``check``'s report on the lattice, so each lattice is judged once.
+
+    A check that raises stores nothing.
+    """
+
+    @functools.wraps(check)
+    def judged(l: Lattice):
+        report = l.verdicts.get(check.__name__)
+        if report is None:
+            report = l.verdicts.setdefault(check.__name__, check(l))
+        return report
+
+    return judged
+
+
+def _check_agreement(what: str, criteria: dict[str, bool], **witnesses) -> None:
+    if len(set(criteria.values())) > 1:
+        verdicts = ", ".join(f"{k}={v}" for k, v in criteria.items())
+        found = ", ".join(f"{k} {v}" for k, v in witnesses.items())
+        raise InvariantViolation(f"{what} criteria disagree: {verdicts} ({found})")
+
+
 # -- forbidden sublattices ----------------------------------------------------
+#
+# Both searches keep the scan order of a loop over element pairs; each step
+# handles one element against all pairs at once in O(n^2) scratch.
+# key[x, y] = (x ^ y) * n + (x v y) (below 2**30 for int16 tables) compares
+# both operations at once.  Meet and join are commutative, so row x of a
+# table holds the results for x with every other element.
 
 
 def find_pentagon(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
@@ -27,25 +60,26 @@ def find_pentagon(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
 
     Such a sublattice is exactly a triple a, b, c with b < c, a incomparable
     to both, and a^b = a^c, avb = avc; the sublattice is then
-    {a^b, a, b, c, avb} listed bottom, side, lower, upper, top.
+    {a^b, a, b, c, avb} listed bottom, side, lower, upper, top.  The witness
+    is the first in the order b, then c, then a ascending.
     """
-    n = l.n
-    leq = l.leq
-    comparable = leq | leq.T
-    for b in range(n):
-        above = np.nonzero(leq[b] & ~np.eye(n, dtype=bool)[b])[0]
-        for c in above:
-            hit = (
-                (l.meet[:, b] == l.meet[:, c])
-                & (l.join[:, b] == l.join[:, c])
-                & ~comparable[:, b]
-                & ~comparable[:, c]
-            )
-            idx = np.nonzero(hit)[0]
-            if idx.size:
-                a = int(idx[0])
-                o, i = int(l.meet[a, b]), int(l.join[a, b])
-                return tuple(l.names[k] for k in (o, a, b, c, i))
+    comparable = l.leq | l.leq.T
+    key = l.meet.astype(np.int32) * l.n + l.join
+    for b in range(l.n):
+        above = np.nonzero(l.leq[b])[0]
+        above = above[above != b]
+        side = np.nonzero(~comparable[b])[0]
+        if not above.size or not side.size:
+            continue
+        # rows c, columns a; a ^ b = a ^ c and a v b = a v c already make
+        # a incomparable to c (a <= c gives a <= b, c <= a gives b < a)
+        hit = key[above][:, side] == key[b, side]
+        rows = np.nonzero(hit.any(axis=1))[0]
+        if rows.size:
+            c = int(above[rows[0]])
+            a = int(side[np.argmax(hit[rows[0]])])
+            o, i = int(l.meet[a, b]), int(l.join[a, b])
+            return tuple(l.names[k] for k in (o, a, b, c, i))
     return None
 
 
@@ -53,27 +87,28 @@ def find_diamond(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
     """A 5-element sublattice isomorphic to the diamond M3, or None.
 
     Encoded by a triple of pairwise incomparable elements with all three
-    pairwise meets equal and all three pairwise joins equal.
+    pairwise meets equal and all three pairwise joins equal.  The witness
+    is the first in the order a, then b > a, then c ascending.
     """
-    n = l.n
     comparable = l.leq | l.leq.T
-    for a in range(n):
-        for b in range(a + 1, n):
-            if comparable[a, b]:
-                continue
+    key = l.meet.astype(np.int32) * l.n + l.join
+    for a in range(l.n):
+        side = np.nonzero(~comparable[a])[0]
+        later = side[side > a]
+        if not later.size:
+            continue
+        # c against a first, from row a alone; by cancellation this leaves
+        # only c = b in a distributive lattice.  Row-major order: b
+        # ascending, then c ascending.
+        rb, rc = np.nonzero(key[a, side] == key[a, later][:, None])
+        bs, cs = later[rb], side[rc]
+        # equal keys make b and c incomparable: b <= c would give
+        # b = b ^ c = a ^ b <= a, and c <= b likewise c <= a
+        k = np.nonzero(key[bs, cs] == key[a, bs])[0]
+        if k.size:
+            b, c = int(bs[k[0]]), int(cs[k[0]])
             o, i = int(l.meet[a, b]), int(l.join[a, b])
-            hit = (
-                (l.meet[:, a] == o)
-                & (l.meet[:, b] == o)
-                & (l.join[:, a] == i)
-                & (l.join[:, b] == i)
-                & ~comparable[:, a]
-                & ~comparable[:, b]
-            )
-            idx = np.nonzero(hit)[0]
-            if idx.size:
-                c = int(idx[0])
-                return tuple(l.names[k] for k in (o, a, b, c, i))
+            return tuple(l.names[x] for x in (o, a, b, c, i))
     return None
 
 
@@ -91,7 +126,7 @@ class SemimodularReport:
 
 def is_upper_semimodular(l: Lattice) -> SemimodularReport:
     """Graded with rho(a) + rho(b) >= rho(avb) + rho(a^b) for all pairs."""
-    g = grade(l)
+    g = l.grading
     if not g.graded:
         return SemimodularReport(False, False, chain_witness=g.witness)
     rho = np.array([g.degree[x] for x in l.names])
@@ -122,19 +157,18 @@ class ModularityReport:
 def _modular_identity_violation(l: Lattice):
     n = l.n
     meet, join = l.meet.astype(int), l.join.astype(int)
-    cols = np.arange(n)
     for b in range(n):
         jb = join[b]
         lhs = jb[meet]  # lhs[a, c] = b v (a ^ c)
-        rhs = meet[jb[:, None], cols[None, :]]  # rhs[a, c] = (b v a) ^ c
-        mask = l.leq[b][None, :]  # require b <= c
-        bad = np.argwhere((lhs != rhs) & mask)
-        if bad.size:
-            a, c = (int(v) for v in bad[0])
+        rhs = meet[jb]  # rhs[a, c] = (b v a) ^ c
+        bad = (lhs != rhs) & l.leq[b][None, :]  # require b <= c
+        if bad.any():  # argwhere only on failure: it costs a full scan
+            a, c = (int(v) for v in np.argwhere(bad)[0])
             return l.names[a], l.names[b], l.names[c]
     return None
 
 
+@_judged_once
 def is_modular(l: Lattice) -> ModularityReport:
     """Three equivalent criteria, checked against each other:
 
@@ -144,25 +178,14 @@ def is_modular(l: Lattice) -> ModularityReport:
     3. no pentagon sublattice.
     """
     violation = _modular_identity_violation(l)
-    by_identity = violation is None
-    by_degree = is_upper_semimodular(l).ok and is_upper_semimodular(l.dual).ok
     pentagon = find_pentagon(l)
-    by_sublattice = pentagon is None
-    assert by_identity == by_degree == by_sublattice, (
-        "modularity criteria disagree",
-        violation,
-        pentagon,
-    )
-    return ModularityReport(
-        by_identity,
-        {
-            "identity": by_identity,
-            "degree": by_degree,
-            "pentagon_free": by_sublattice,
-        },
-        violation,
-        pentagon,
-    )
+    criteria = {
+        "identity": violation is None,
+        "degree": is_upper_semimodular(l).ok and is_upper_semimodular(l.dual).ok,
+        "pentagon_free": pentagon is None,
+    }
+    _check_agreement("modularity", criteria, violation=violation, pentagon=pentagon)
+    return ModularityReport(criteria["identity"], criteria, violation, pentagon)
 
 
 # -- distributivity ----------------------------------------------------------------
@@ -187,14 +210,15 @@ def _distributive_identity_violation(l: Lattice, dualized: bool = False):
     for b in range(n):
         jb = join[b]
         lhs = jb[meet]  # b v (a ^ c)
-        rhs = meet[jb[:, None], jb[None, :]]  # (b v a) ^ (b v c)
-        bad = np.argwhere(lhs != rhs)
-        if bad.size:
-            a, c = (int(v) for v in bad[0])
+        rhs = meet[jb][:, jb]  # (b v a) ^ (b v c)
+        bad = lhs != rhs
+        if bad.any():
+            a, c = (int(v) for v in np.argwhere(bad)[0])
             return l.names[a], l.names[b], l.names[c]
     return None
 
 
+@_judged_once
 def is_distributive(l: Lattice) -> DistributivityReport:
     """Four equivalent criteria, checked against each other:
 
@@ -204,29 +228,24 @@ def is_distributive(l: Lattice) -> DistributivityReport:
     4. modular with no diamond sublattice.
     """
     violation = _distributive_identity_violation(l)
-    by_identity = violation is None
-    by_dual = _distributive_identity_violation(l, dualized=True) is None
-    pentagon = find_pentagon(l)
+    modularity = is_modular(l)
+    pentagon = modularity.pentagon
     diamond = find_diamond(l)
-    by_sublattice = pentagon is None and diamond is None
-    by_modular = is_modular(l).modular and diamond is None
-    assert by_identity == by_dual == by_sublattice == by_modular, (
-        "distributivity criteria disagree",
-        violation,
-        pentagon,
-        diamond,
+    criteria = {
+        "identity": violation is None,
+        "dual_identity": _distributive_identity_violation(l, dualized=True) is None,
+        "sublattice_free": pentagon is None and diamond is None,
+        "modular_diamond_free": modularity.modular and diamond is None,
+    }
+    _check_agreement(
+        "distributivity",
+        criteria,
+        violation=violation,
+        pentagon=pentagon,
+        diamond=diamond,
     )
     return DistributivityReport(
-        by_identity,
-        {
-            "identity": by_identity,
-            "dual_identity": by_dual,
-            "sublattice_free": by_sublattice,
-            "modular_diamond_free": by_modular,
-        },
-        violation,
-        pentagon,
-        diamond,
+        criteria["identity"], criteria, violation, pentagon, diamond
     )
 
 
@@ -413,7 +432,12 @@ def verify_jordan_holder(
             tuple(sorted(chain_multiplicities(l, ch, partition).items()))
             for ch in chains
         }
-        assert (len(vectors) == 1) == ok, "chain enumeration disagrees with DP"
+        if (len(vectors) == 1) != ok:
+            raise InvariantViolation(
+                f"Jordan-Holder: {len(chains)} enumerated chains carry "
+                f"{len(vectors)} multiplicity vectors, the cover-DAG pass "
+                f"says {'one' if ok else 'several'}"
+            )
     return JordanHolderReport(ok, partition, mult, witness)
 
 

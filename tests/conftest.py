@@ -37,6 +37,54 @@ def reference_set_tables(sets):
     return leq, meet, join
 
 
+def reference_find_pentagon(l):
+    """Pair-loop pentagon search: b ascending, c ascending above b, then
+    the smallest a."""
+    n = l.n
+    leq = l.leq
+    comparable = leq | leq.T
+    for b in range(n):
+        above = np.nonzero(leq[b] & ~np.eye(n, dtype=bool)[b])[0]
+        for c in above:
+            hit = (
+                (l.meet[:, b] == l.meet[:, c])
+                & (l.join[:, b] == l.join[:, c])
+                & ~comparable[:, b]
+                & ~comparable[:, c]
+            )
+            idx = np.nonzero(hit)[0]
+            if idx.size:
+                a = int(idx[0])
+                o, i = int(l.meet[a, b]), int(l.join[a, b])
+                return tuple(l.names[k] for k in (o, a, b, c, i))
+    return None
+
+
+def reference_find_diamond(l):
+    """Pair-loop diamond search: a ascending, b > a ascending, then the
+    smallest c."""
+    n = l.n
+    comparable = l.leq | l.leq.T
+    for a in range(n):
+        for b in range(a + 1, n):
+            if comparable[a, b]:
+                continue
+            o, i = int(l.meet[a, b]), int(l.join[a, b])
+            hit = (
+                (l.meet[:, a] == o)
+                & (l.meet[:, b] == o)
+                & (l.join[:, a] == i)
+                & (l.join[:, b] == i)
+                & ~comparable[:, a]
+                & ~comparable[:, b]
+            )
+            idx = np.nonzero(hit)[0]
+            if idx.size:
+                c = int(idx[0])
+                return tuple(l.names[k] for k in (o, a, b, c, i))
+    return None
+
+
 @pytest.fixture(scope="session")
 def case_n1_spec():
     return lk.load_spec(FIXTURES / "case_n1.json")

@@ -1,12 +1,23 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
-from latticekit import catalog
+from latticekit import catalog, properties
+from latticekit.cli import main
 
-from conftest import distributive_fixture_lattices
+from conftest import (
+    BLOCK_CELLS,
+    FIXTURES,
+    distributive_fixture_lattices,
+    reference_find_diamond,
+    reference_find_pentagon,
+    table_blocks,
+)
 
 
 class TestModularity:
@@ -210,3 +221,153 @@ class TestRandomAgreement:
             assert len(set(dist.criteria.values())) == 1
             if dist.distributive:
                 assert mod.modular
+
+
+# -- array-at-a-time searches against the pair loops ----------------------------
+
+
+def reordered_lattice(l, order):
+    """``l`` rebuilt through ``as_lattice`` with its elements listed in
+    ``order`` (indices into ``l``)."""
+    order = np.asarray(order)
+    names = [l.names[i] for i in order]
+    return lk.as_lattice(lk.Poset(names, l.leq[np.ix_(order, order)]))
+
+
+def product_lattice(s, t):
+    """The product lattice s x t, elements named ``x.y``, s-major order."""
+    leq = (s.leq[:, None, :, None] & t.leq[None, :, None, :]).reshape(
+        s.n * t.n, s.n * t.n
+    )
+    names = [f"{x}.{y}" for x in s.names for y in t.names]
+    return lk.as_lattice(lk.Poset(names, leq))
+
+
+@st.composite
+def searched_lattices(draw):
+    """J(P) of a random poset on at most 5 points, or M3 x J(P) or
+    N5 x J(P) with P on at most 3 points (at most 40 elements), with its
+    elements listed in a random order and its tables built in row blocks
+    of a drawn size."""
+    factor = draw(st.sampled_from([None, catalog.diamond, catalog.pentagon]))
+    k = draw(st.integers(min_value=1, max_value=5 if factor is None else 3))
+    names = [f"x{i}" for i in range(k)]
+    covers = [
+        (names[i], names[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+        if draw(st.booleans())
+    ]
+    with table_blocks(draw(st.sampled_from(BLOCK_CELLS))):
+        l = lk.ideals_lattice(lk.build_poset(names, covers, warn_redundant=False)).lattice
+        if factor is not None:
+            l = product_lattice(factor(), l)
+        return reordered_lattice(l, draw(st.permutations(range(l.n))))
+
+
+CATALOG = {
+    "pentagon": catalog.pentagon,
+    "diamond": catalog.diamond,
+    "chain4": lambda: lk.as_lattice(catalog.chain_poset(4)),
+    "B4": lambda: catalog.boolean_lattice(4),
+    "D60": lambda: catalog.divisor_lattice(60),
+    "D72": lambda: catalog.divisor_lattice(72),
+    "free3": lambda: fd.generate_lattice(3),
+    "M3xN5": lambda: product_lattice(catalog.diamond(), catalog.pentagon()),
+    **{
+        f"random{k}": lambda k=k: catalog.random_lattice(random.Random(k), max_size=16)
+        for k in range(12)
+    },
+}
+
+
+class TestSearchesMatchPairLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(searched_lattices())
+    def test_random_products(self, l):
+        for x in (l, l.dual):
+            assert lk.find_pentagon(x) == reference_find_pentagon(x)
+            assert lk.find_diamond(x) == reference_find_diamond(x)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    def test_catalog(self, name, cells):
+        with table_blocks(cells):
+            l = CATALOG[name]()
+        for x in (l, l.dual):
+            assert lk.find_pentagon(x) == reference_find_pentagon(x)
+            assert lk.find_diamond(x) == reference_find_diamond(x)
+
+
+# -- verdicts computed once per lattice -------------------------------------------
+
+
+def fresh_length_three():
+    """A lattice no other test has judged, so its verdicts start empty."""
+    return lk.ideals_lattice(catalog.three_element_posets()["vee"]).lattice
+
+
+class TestVerdictMemo:
+    def test_second_call_returns_the_same_report(self):
+        l = fresh_length_three()
+        assert l.verdicts == {}
+        mod, dist = lk.is_modular(l), lk.is_distributive(l)
+        assert lk.is_modular(l) is mod and lk.is_distributive(l) is dist
+
+    def test_derived_lattices_are_judged_afresh(self):
+        l = catalog.diamond()
+        rep = lk.is_distributive(l)
+        bounded = lk.add_bounds(l, bottom="z", top="t")
+        assert bounded.verdicts == {} and l.dual.verdicts == {}
+        assert lk.is_distributive(bounded) is not rep
+        assert lk.is_distributive(bounded).diamond == reference_find_diamond(bounded)
+        assert lk.is_distributive(l.dual).diamond == reference_find_diamond(l.dual)
+
+    def test_roundtrip_judges_each_lattice_once(self, monkeypatch):
+        calls = []
+        identity = properties._distributive_identity_violation
+
+        def counted(l, dualized=False):
+            calls.append((id(l), dualized))
+            return identity(l, dualized)
+
+        monkeypatch.setattr(properties, "_distributive_identity_violation", counted)
+        assert lk.birkhoff_roundtrip(fresh_length_three()).ok
+        # L and J(irr L), each by the identity and its dual
+        assert len(calls) == 4 and len(set(calls)) == 4
+
+
+# -- disagreeing criteria ---------------------------------------------------------
+
+
+class TestInvariantViolation:
+    def test_distributivity(self, monkeypatch):
+        l = fresh_length_three()
+        monkeypatch.setattr(properties, "find_diamond", lambda l: tuple("abcde"))
+        with pytest.raises(lk.InvariantViolation, match="distributivity criteria disagree"):
+            lk.is_distributive(l)
+        assert "is_distributive" not in l.verdicts
+        monkeypatch.undo()
+        assert lk.is_distributive(l).distributive
+
+    def test_modularity(self, monkeypatch):
+        l = fresh_length_three()
+        monkeypatch.setattr(properties, "find_pentagon", lambda l: tuple("abcde"))
+        with pytest.raises(lk.InvariantViolation, match="modularity criteria disagree"):
+            lk.is_modular(l)
+        assert l.verdicts == {}
+
+    def test_jordan_holder_enumeration(self, monkeypatch):
+        vectors = iter([{0: 1, 1: 1}, {0: 2, 1: 0}])
+        monkeypatch.setattr(
+            properties, "chain_multiplicities", lambda *a, **k: next(vectors)
+        )
+        with pytest.raises(lk.InvariantViolation, match="Jordan-Holder"):
+            lk.verify_jordan_holder(catalog.boolean_lattice(2), exhaustive=True)
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(properties, "find_diamond", lambda l: tuple("abcde"))
+        code = main(["check", str(FIXTURES / "divisor12.json"), "--property", "distributive"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("invariant violated: distributivity criteria disagree")
