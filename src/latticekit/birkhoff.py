@@ -13,7 +13,12 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import NotDistributive, SizeLimitExceeded, UnknownElement
+from .errors import (
+    InvariantViolation,
+    NotDistributive,
+    SizeLimitExceeded,
+    UnknownElement,
+)
 from .lattice import Edge, Lattice, join_irreducibles, set_family_tables
 from .poset import (
     DEFAULT_IDEAL_CAP,
@@ -128,7 +133,8 @@ def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[str, str]]:
         if phi is None:
             return None
         mapping = _extend_irreducible_map(a, b, phi)
-        assert mapping is not None, "irreducible map failed to extend"
+        if mapping is None:
+            raise InvariantViolation("irreducible map failed to extend")
         return mapping
     return is_isomorphic(a.poset, b.poset)
 
@@ -236,7 +242,8 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
         )
         principal = down[x]
         base = principal & ~(1 << x)
-        assert base in nodes, "base of the new join irreducible is missing"
+        if base not in nodes:
+            raise InvariantViolation("base of the new join irreducible is missing")
         nodes.add(principal)
         snapshot(
             f"adjoin join irreducible for {p.names[x]!r} covering "
@@ -257,7 +264,8 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
         processed.add(x)
 
     expected = set(order_ideal_masks(p, cap))
-    assert nodes == expected, "construction did not converge to J(P)"
+    if nodes != expected:
+        raise InvariantViolation("construction did not converge to J(P)")
     return ConstructionTrace(tuple(steps))
 
 

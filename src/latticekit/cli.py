@@ -23,6 +23,11 @@ from .poset import DEFAULT_IDEAL_CAP
 from .reconstruct import element_factors, load_spec
 from .reconstruct import reconstruct as run_reconstruction
 
+# elements of the extended free distributive lattice on k generators (the
+# Dedekind numbers, which freedist.dedekind_count computes); a reconstructed
+# lattice of one of these sizes, or of two fewer, is compared with it
+FREE_LATTICE_SIZES = {1: 3, 2: 6, 3: 20, 4: 168}
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -291,25 +296,25 @@ def _cmd_reconstruct(args, limit) -> int:
 
 def _recognize(l) -> str:
     """Name the result when it matches a standard small lattice."""
-    from .catalog import boolean_lattice
-
-    counts = {}
-    for k in range(1, 5):
-        m = freedist.dedekind_count(k)
-        counts.setdefault(m - 2, []).append(f"restricted Λ{k}")
-        counts.setdefault(m, []).append(f"extended Λ{k}")
-    for k in range(1, 5):
-        counts.setdefault(2**k, []).append(f"B{k}")
-    for label in counts.get(l.n, []):
-        if label.startswith("restricted"):
-            candidate = freedist.generate_lattice(int(label[-1]))
-        elif label.startswith("extended"):
-            candidate = freedist.generate_lattice(int(label[-1]), extended=True)
-        else:
-            candidate = boolean_lattice(int(label[-1]))
+    for label, candidate in _known_lattices(l.n):
         if birkhoff.lattice_isomorphic(l, candidate):
             return label
     return ""
+
+
+def _known_lattices(n: int):
+    """(name, lattice) for each standard small lattice with n elements,
+    free distributive ones first; each is built only when reached."""
+    from .catalog import boolean_lattice
+
+    for k, size in FREE_LATTICE_SIZES.items():
+        if n == size - 2:
+            yield f"restricted Λ{k}", freedist.generate_lattice(k)
+        if n == size:
+            yield f"extended Λ{k}", freedist.generate_lattice(k, extended=True)
+    for k in range(1, 5):
+        if n == 2**k:
+            yield f"B{k}", boolean_lattice(k)
 
 
 def _cmd_render(args, limit) -> int:

@@ -40,11 +40,37 @@ def poset_to_dict(p: Poset, labels: Optional[dict] = None) -> dict:
 
 
 def poset_from_dict(data: dict) -> tuple[Poset, dict]:
-    p = build_poset(data["elements"], [tuple(c) for c in data["covers"]])
+    """Poset and edge labels from the shape above.
+
+    Raises :class:`InvalidSpec` naming the first field that does not fit
+    it: ``data`` must be an object with an ``elements`` list and a
+    ``covers`` list of [lower, upper] pairs; ``labels``, when present, an
+    object keyed ``lower|upper``.
+    """
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"poset file must hold a JSON object, not {type(data).__name__}")
+    for field in ("elements", "covers"):
+        if field not in data:
+            raise InvalidSpec(f"poset file has no {field!r} list")
+        if not isinstance(data[field], (list, tuple)):
+            raise InvalidSpec(
+                f"{field!r} must be a list, not {type(data[field]).__name__}"
+            )
+    for pair in data["covers"]:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidSpec(
+                f"each 'covers' item must be a [lower, upper] pair, not {pair!r}"
+            )
+    raw_labels = data.get("labels", {})
+    if not isinstance(raw_labels, dict):
+        raise InvalidSpec(f"'labels' must be an object, not {type(raw_labels).__name__}")
     labels = {}
-    for key, lab in data.get("labels", {}).items():
-        a, _, b = key.partition("|")
+    for key, lab in raw_labels.items():
+        a, sep, b = key.partition("|")
+        if not sep:
+            raise InvalidSpec(f"'labels' key {key!r} is not of the form 'lower|upper'")
         labels[(a, b)] = lab
+    p = build_poset(data["elements"], [tuple(c) for c in data["covers"]])
     return p, labels
 
 

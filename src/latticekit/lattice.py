@@ -32,8 +32,12 @@ class Lattice:
     Tables are int16 numpy arrays, so a lattice has at most
     ``TABLE_LIMIT`` (32767) elements; the table builders raise
     :class:`SizeLimitExceeded` before allocating anything larger.  Lookups
-    are O(1).  Instances are immutable and safe for concurrent reads; the
-    grading, the dual and the property verdicts are computed once and kept.
+    are O(1).  With ``verify`` (up to ``VERIFY_LIMIT`` elements) the tables
+    are checked against the order in O(n² + covers·n) time; the O(n³/64)
+    pair scan runs only on tables that fail that check, to name the first
+    failing pair.  Instances are immutable and safe for concurrent reads;
+    the grading, the dual and the property verdicts are computed once and
+    kept.
     """
 
     def __init__(
@@ -98,18 +102,101 @@ class Lattice:
     # -- verification ------------------------------------------------------
 
     def _verify(self):
-        """Exhaustive lub/glb universal property, absorption and the
-        three-way equivalence b<=a <=> a^b=b <=> avb=a over all pairs."""
+        """Check that ``meet`` and ``join`` are the glb and lub of ``leq``:
+        table entries in range, bounds, the lub/glb universal property,
+        absorption and the three-way equivalence b<=a <=> a^b=b <=> avb=a.
+
+        Costs O(n² + covers·n): the universal property is proved by
+        :meth:`_lattice_laws_hold`, and the O(n³/64) pair scan
+        (:meth:`_scan_pairs`) runs only when that proof fails, to accept
+        the tables or to name the first failing pair.
+        """
+        n = self.n
+        meet, join = self.meet, self.join
+        for table, kind in ((join, "join"), (meet, "meet")):
+            if table.size and not 0 <= table.min() <= table.max() < n:
+                raise NotALattice(("<table>", "<table>"), [], kind)
+        flat, index = self.leq.ravel(), np.arange(n)
+        # join(a,b) is an upper bound and meet(a,b) a lower bound of a and b;
+        # flat[x * n + y] reads x <= y, one block of rows a at a time
+        lower = True
+        for rows in _row_blocks(n, n):
+            a = index[rows, None]
+            up, down = join[rows].astype(np.intp), meet[rows].astype(np.intp)
+            if not (flat.take(a * n + up).all() and flat.take(index * n + up).all()):
+                raise NotALattice(("<table>", "<table>"), [], "join")
+            lower = lower and flat.take(down * n + a).all() and flat.take(down * n + index).all()
+        if not lower:
+            raise NotALattice(("<table>", "<table>"), [], "meet")
+        if not self._lattice_laws_hold():
+            self._scan_pairs()
+        # absorption a ^ (a v b) = a and the order equivalences
+        for rows in _row_blocks(n, n):
+            a = index[rows, None]
+            if not (meet.ravel().take(a * n + join[rows]) == a).all():
+                raise NotALattice(("<table>", "<table>"), [], "absorption")
+        if not ((meet == index[None, :]) == self.leq.T).all():
+            raise NotALattice(("<table>", "<table>"), [], "meet-order")
+        if not ((join == index[:, None]) == self.leq.T).all():
+            raise NotALattice(("<table>", "<table>"), [], "join-order")
+
+    def _lattice_laws_hold(self) -> bool:
+        """A sufficient condition, in O(n² + covers·n), for up(a) ∩ up(b) =
+        up(join[a, b]) and down(a) ∩ down(b) = down(meet[a, b]) on every
+        pair, which is what the pair scan checks.  It relies on what
+        :meth:`_verify` checked before: every join is an upper bound and
+        every meet a lower bound of its pair.  False means it cannot tell.
+
+        (1) ``leq`` is reflexive, and the number of elements below strictly
+        grows along every strict pair.  So no two elements are below each
+        other, and every a < b is joined by a chain of covers a ⋖ ... ⋖ b:
+        a pair that is no cover has some a < k < b, and both halves have
+        smaller count differences.
+        (2) ``meet`` and ``join`` are idempotent and symmetric.
+        (3) For every cover a ⋖ a' and every b, join[a, b] ≤ join[a', b]
+        and meet[a, b] ≤ meet[a', b].
+
+        Order: on a cover chain y0 ⋖ ... ⋖ yk, join[yk, yk] = yk by (2), and
+        if join[yi, yk] = yk then join[yi-1, yk] ≤ yk by (3) and yk ≤
+        join[yi-1, yk] as an upper bound, so join[yi-1, yk] = yk by (1) and
+        yi-1 ≤ join[yi-1, yk] = yk.  So the ends of every cover chain are
+        ordered, a ≤ b ≤ c gives a ≤ c through the chains a to b to c, and
+        ``leq`` is a partial order, with join[u, v] = v for u ≤ v; (3) then
+        holds for every a ≤ a' along a chain.
+        Joins: a common upper bound x of a and b has join[a, b] ≤ join[x, b]
+        = join[b, x] = x, and every element above join[a, b] is above a
+        and b.  Meets: for u ≤ v, u = meet[u, u] ≤ meet[v, u] ≤ u, so
+        meet[u, v] = u; a common lower bound x of a and b has x = meet[x,
+        b] ≤ meet[a, b], and every element below meet[a, b] is below both.
+        Transitivity thus needs no check of its own (such as up(a') ⊆ up(a)
+        on each cover a ⋖ a').
+        """
+        n = self.n
+        leq, meet, join = self.leq, self.meet, self.join
+        below = leq.sum(axis=0)
+        if not np.array_equal(leq & (below[:, None] >= below), np.eye(n, dtype=bool)):
+            return False
+        index = np.arange(n)
+        for table in (meet, join):
+            if not (table.diagonal() == index).all() or not (table == table.T).all():
+                return False
+        lower, upper = np.nonzero(self.poset.covers_matrix)
+        flat = leq.ravel()
+        for part in _row_blocks(len(lower), n):
+            a, a2 = lower[part], upper[part]
+            for table in (join, meet):
+                if not flat.take(table[a].astype(np.int32) * n + table[a2]).all():
+                    return False
+        return True
+
+    def _scan_pairs(self):
+        """Raise the NotALattice of the first pair (a ascending, joins
+        before meets) whose common upper bounds are not up(join[a, b]) or
+        whose common lower bounds are not down(meet[a, b]); return when
+        there is none.  O(n³/64) word operations."""
         n = self.n
         leq = self.leq
         meet, join = self.meet, self.join
-        rows = np.arange(n)
-        # join(a,b) is an upper bound; meet(a,b) a lower bound
-        if not leq[rows[:, None], join].all() or not leq[rows[None, :], join].all():
-            raise NotALattice(("<table>", "<table>"), [], "join")
-        if not leq[meet, rows[None, :]].all() or not leq[meet, rows[:, None]].all():
-            raise NotALattice(("<table>", "<table>"), [], "meet")
-        # least/greatest among bounds: up(a) & up(b) == up(join(a,b))
         packed = np.packbits(leq, axis=1)
         packed_t = np.packbits(leq.T, axis=1)
         for a in range(n):
@@ -129,13 +216,6 @@ class Lattice:
                     self._maximal_lower_bounds(a, b),
                     "meet",
                 )
-        # absorption a ^ (a v b) = a and the order equivalences
-        if not (meet[rows[:, None], join] == rows[:, None]).all():
-            raise NotALattice(("<table>", "<table>"), [], "absorption")
-        if not ((meet == rows[None, :]) == leq.T).all():
-            raise NotALattice(("<table>", "<table>"), [], "meet-order")
-        if not ((join == rows[:, None]) == leq.T).all():
-            raise NotALattice(("<table>", "<table>"), [], "join-order")
 
     def _minimal_upper_bounds(self, a: int, b: int) -> list[str]:
         ub = self.poset.up_masks[a] & self.poset.up_masks[b]
@@ -180,6 +260,14 @@ class Lattice:
             self.bottom_index,
             verify=False,
         )
+
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices of ``rows`` table rows of ``cols`` cells, about
+    ``TABLE_BLOCK_CELLS`` cells per slice."""
+    block = max(1, TABLE_BLOCK_CELLS // max(cols, 1))
+    return [slice(start, start + block) for start in range(0, rows, block)]
 
 
 # -- construction ------------------------------------------------------------

@@ -25,6 +25,7 @@ from .errors import (
     EmbeddingFailure,
     InconsistentOrder,
     InvalidSpec,
+    InvariantViolation,
     NotComparable,
     OrderConflict,
     UnknownElement,
@@ -219,9 +220,14 @@ def reconstruct(
     result = LabeledLattice(raw.lattice, labels)
     result.validate()
 
-    assert is_distributive(result.lattice).distributive
-    assert is_multiplicity_free(result.lattice)
-    assert is_isomorphic(irreducible_poset(result.lattice), p) is not None
+    if not is_distributive(result.lattice).distributive:
+        raise InvariantViolation("reconstructed lattice is not distributive")
+    if not is_multiplicity_free(result.lattice):
+        raise InvariantViolation("reconstructed lattice is not multiplicity free")
+    if is_isomorphic(irreducible_poset(result.lattice), p) is None:
+        raise InvariantViolation(
+            "join irreducibles of the reconstructed lattice do not match the spec"
+        )
 
     for edge in s.edges:
         _check_embedded(result, p, edge)

@@ -1,10 +1,13 @@
+import random
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import latticekit as lk
+import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit import lattice as lattice_module
 
@@ -35,6 +38,45 @@ def reference_set_tables(sets):
             meet[i, j] = index[a & b]
             join[i, j] = index[a | b]
     return leq, meet, join
+
+
+def reference_verify(poset, meet, join):
+    """Pair-loop reference for ``Lattice._verify`` on in-range tables:
+    bounds (joins, then meets), then for a ascending the first b whose
+    common upper bounds are not up(join[a, b]) (then the same for lower
+    bounds and meets), then absorption and the two order equivalences.
+    Raises the NotALattice the library documents, or returns None."""
+    n = poset.n
+    leq = poset.leq
+    table = ("<table>", "<table>")
+    up = [sum(1 << j for j in range(n) if leq[i, j]) for i in range(n)]
+    down = [sum(1 << j for j in range(n) if leq[j, i]) for i in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    if not all(leq[a, join[a, b]] and leq[b, join[a, b]] for a, b in pairs):
+        raise lk.NotALattice(table, [], "join")
+    if not all(leq[meet[a, b], a] and leq[meet[a, b], b] for a, b in pairs):
+        raise lk.NotALattice(table, [], "meet")
+
+    def extremal(bounds, opposite):
+        return [
+            poset.names[i] for i in range(n)
+            if bounds >> i & 1 and opposite[i] & bounds & ~(1 << i) == 0
+        ]
+
+    for a in range(n):
+        for rows, cols, result, kind in ((up, down, join, "join"), (down, up, meet, "meet")):
+            for b in range(n):
+                common = rows[a] & rows[b]
+                if common != rows[result[a, b]]:
+                    raise lk.NotALattice(
+                        (poset.names[a], poset.names[b]), extremal(common, cols), kind
+                    )
+    if not all(meet[a, join[a, b]] == a for a, b in pairs):
+        raise lk.NotALattice(table, [], "absorption")
+    if not all((meet[a, b] == b) == leq[b, a] for a, b in pairs):
+        raise lk.NotALattice(table, [], "meet-order")
+    if not all((join[a, b] == a) == leq[b, a] for a, b in pairs):
+        raise lk.NotALattice(table, [], "join-order")
 
 
 def reference_find_pentagon(l):
@@ -83,6 +125,61 @@ def reference_find_diamond(l):
                 c = int(idx[0])
                 return tuple(l.names[k] for k in (o, a, b, c, i))
     return None
+
+
+def reordered_lattice(l, order):
+    """``l`` rebuilt through ``as_lattice`` with its elements listed in
+    ``order`` (indices into ``l``)."""
+    order = np.asarray(order)
+    names = [l.names[i] for i in order]
+    return lk.as_lattice(lk.Poset(names, l.leq[np.ix_(order, order)]))
+
+
+def product_lattice(s, t):
+    """The product lattice s x t, elements named ``x.y``, s-major order."""
+    leq = (s.leq[:, None, :, None] & t.leq[None, :, None, :]).reshape(
+        s.n * t.n, s.n * t.n
+    )
+    names = [f"{x}.{y}" for x in s.names for y in t.names]
+    return lk.as_lattice(lk.Poset(names, leq))
+
+
+@st.composite
+def searched_lattices(draw):
+    """J(P) of a random poset on at most 5 points, or M3 x J(P) or
+    N5 x J(P) with P on at most 3 points (at most 40 elements), with its
+    elements listed in a random order and its tables built in row blocks
+    of a drawn size."""
+    factor = draw(st.sampled_from([None, catalog.diamond, catalog.pentagon]))
+    k = draw(st.integers(min_value=1, max_value=5 if factor is None else 3))
+    names = [f"x{i}" for i in range(k)]
+    covers = [
+        (names[i], names[j])
+        for i in range(k)
+        for j in range(i + 1, k)
+        if draw(st.booleans())
+    ]
+    with table_blocks(draw(st.sampled_from(BLOCK_CELLS))):
+        l = lk.ideals_lattice(lk.build_poset(names, covers, warn_redundant=False)).lattice
+        if factor is not None:
+            l = product_lattice(factor(), l)
+        return reordered_lattice(l, draw(st.permutations(range(l.n))))
+
+
+CATALOG = {
+    "pentagon": catalog.pentagon,
+    "diamond": catalog.diamond,
+    "chain4": lambda: lk.as_lattice(catalog.chain_poset(4)),
+    "B4": lambda: catalog.boolean_lattice(4),
+    "D60": lambda: catalog.divisor_lattice(60),
+    "D72": lambda: catalog.divisor_lattice(72),
+    "free3": lambda: fd.generate_lattice(3),
+    "M3xN5": lambda: product_lattice(catalog.diamond(), catalog.pentagon()),
+    **{
+        f"random{k}": lambda k=k: catalog.random_lattice(random.Random(k), max_size=16)
+        for k in range(12)
+    },
+}
 
 
 @pytest.fixture(scope="session")

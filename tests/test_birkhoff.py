@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
-from latticekit import catalog
+from latticekit import birkhoff, catalog
 from latticekit.poset import order_ideal_masks
 
 from conftest import (
@@ -201,6 +201,31 @@ class TestStanley:
         assert [s.description for s in t1.steps] == [s.description for s in t2.steps]
         assert [s.poset.names for s in t1.steps] == [s.poset.names for s in t2.steps]
 
+
+
+class TestResultGuards:
+    """The result checks raise InvariantViolation, so ``python -O`` keeps them."""
+
+    def test_irreducible_map_must_extend(self, monkeypatch, d12):
+        monkeypatch.setattr(birkhoff, "_extend_irreducible_map", lambda a, b, phi: None)
+        with pytest.raises(lk.InvariantViolation, match="failed to extend"):
+            lk.lattice_isomorphic(d12, d12)
+
+    @pytest.mark.parametrize(
+        "covers, message",
+        [
+            # {a, b, c} is reached only by closing {a, c} and {b} under union
+            ([("a", "c"), ("b", "d"), ("c", "d")], "base of the new join irreducible"),
+            # {a, b, c} is needed at the end but nothing builds it
+            ([("a", "c")], "did not converge"),
+        ],
+    )
+    def test_stanley_must_converge(self, monkeypatch, covers, message):
+        names = sorted({x for pair in covers for x in pair} | {"b"})
+        p = lk.build_poset(names, covers)
+        monkeypatch.setattr(birkhoff, "_close_under_union", lambda nodes, seeds: False)
+        with pytest.raises(lk.InvariantViolation, match=message):
+            lk.stanley_construct(p)
 
 class TestEvaluate:
     def test_generator(self, b3):

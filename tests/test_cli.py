@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+import latticekit.freedist as fd
+from latticekit import catalog, cli
 from latticekit.cli import main
 
 from conftest import FIXTURES
@@ -73,6 +77,43 @@ class TestCheck:
         code, _, err = run(capsys, "check", bad, "--property", "modular")
         assert code == 2 and "join" in err
 
+
+
+class TestMalformedPosetFiles:
+    """Each file shape error exits 2 with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ([["0", "a"]], "JSON object"),
+            ({"covers": []}, "'elements'"),
+            ({"elements": "0a", "covers": []}, "'elements' must be a list"),
+            ({"elements": ["0", "a"]}, "'covers'"),
+            ({"elements": ["0", "a"], "covers": {"0": "a"}}, "'covers' must be a list"),
+            ({"elements": ["0", "a"], "covers": [["0"]]}, "[lower, upper] pair, not ['0']"),
+            ({"elements": ["0", "a"], "covers": ["0a"]}, "[lower, upper] pair, not '0a'"),
+            (
+                {"elements": ["0", "a"], "covers": [["0", "a"]], "labels": ["g"]},
+                "'labels' must be an object",
+            ),
+            (
+                {"elements": ["0", "a"], "covers": [["0", "a"]], "labels": {"0a": "g"}},
+                "'labels' key '0a'",
+            ),
+        ],
+    )
+    def test_shape_errors(self, capsys, tmp_path, data, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", bad, "--property", "modular")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and field in err
+
+    def test_spec_file_is_not_a_poset(self, capsys):
+        code, _, err = run(
+            capsys, "check", FIXTURES / "case_n1.json", "--property", "modular"
+        )
+        assert code == 2 and "no 'elements' list" in err
 
 class TestBirkhoffVerbs:
     def test_ideals(self, capsys, tmp_path):
@@ -208,6 +249,28 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "no_such_file.json")
         assert code == 2
 
+
+
+class TestRecognize:
+    def test_free_sizes_are_dedekind_counts(self):
+        assert cli.FREE_LATTICE_SIZES == {k: fd.dedekind_count(k) for k in range(1, 5)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_free_labels(self, k):
+        assert cli._recognize(fd.generate_lattice(k)) == f"restricted Λ{k}"
+        assert cli._recognize(fd.generate_lattice(k, extended=True)) == f"extended Λ{k}"
+
+    @pytest.mark.parametrize("k", [1, 3, 4])  # B2 is the restricted Λ2, tried first
+    def test_boolean_labels(self, k):
+        assert cli._recognize(catalog.boolean_lattice(k)) == f"B{k}"
+
+    def test_reconstruct_counts_nothing(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("dedekind_count called")
+
+        monkeypatch.setattr(fd, "dedekind_count", refuse)
+        code, out, _ = run(capsys, "reconstruct", FIXTURES / "case_n2.json", "--with-bounds")
+        assert code == 0 and "isomorphic to extended Λ3" in out
 
 class TestRenderAndDeterminism:
     def test_render(self, capsys, tmp_path):

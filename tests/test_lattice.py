@@ -10,7 +10,14 @@ import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
 
-from conftest import BLOCK_CELLS, reference_set_tables, table_blocks
+from conftest import (
+    BLOCK_CELLS,
+    CATALOG,
+    reference_set_tables,
+    reference_verify,
+    searched_lattices,
+    table_blocks,
+)
 
 
 def set_name(s):
@@ -360,3 +367,114 @@ class TestSetFamilyTables:
         members = np.arange(TABLE_LIMIT + 1, dtype=np.uint64)[:, None]
         with pytest.raises(lk.SizeLimitExceeded, match="32768"):
             set_family_tables(members)
+
+
+# -- table verification against the pair scan it replaced -----------------------
+
+
+def verify_outcome(check):
+    """None when ``check()`` returns, else the NotALattice it raised as
+    (pair, candidates, kind, message)."""
+    try:
+        check()
+    except lk.NotALattice as exc:
+        return exc.pair, exc.candidates, exc.kind, str(exc)
+    return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The order and tables of a catalog lattice, a J(P) or a product with
+    M3 or N5, with up to three corruptions: a flipped order cell, a dropped
+    a <= c over some a < b < c (with the pair's meet and join moved to
+    common bounds that remain), an added b <= a over some a < b, and a meet
+    or join entry overwritten on both sides of the diagonal or on one.  New
+    entries are mostly bounds of their pair, so the bound checks often
+    pass and the later ones decide."""
+    name = draw(st.sampled_from([None, *sorted(CATALOG)]))
+    l = draw(searched_lattices()) if name is None else CATALOG[name]()
+    n = l.n
+    leq, tables = l.leq.copy(), {"meet": l.meet.copy(), "join": l.join.copy()}
+    element = st.integers(min_value=0, max_value=n - 1)
+
+    def pick(rows):
+        return rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+
+    def bound(which, i, j):
+        """A common bound of i and j, a bound of one of them, or any element."""
+        above = leq if which == "join" else leq.T
+        rows = draw(st.sampled_from([above[i] & above[j]] * 2 + [above[i], above[j], None]))
+        found = np.nonzero(rows)[0] if rows is not None else []
+        return pick(found) if len(found) else draw(element)
+
+    kinds = ["flip", "transitivity", "antisymmetry"] + ["both", "one"] * 3
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(kinds))
+        strict = leq & ~np.eye(n, dtype=bool)
+        if kind == "flip":
+            i, j = draw(element), draw(element)
+            leq[i, j] = not leq[i, j]
+        elif kind == "transitivity":
+            steps = strict.astype(np.int32)
+            spans = np.argwhere(strict & ((steps @ steps) > 0))
+            if len(spans):
+                a, c = pick(spans)
+                leq[a, c] = False
+                for which in ("meet", "join"):
+                    value = bound(which, a, c)
+                    tables[which][a, c] = tables[which][c, a] = value
+        elif kind == "antisymmetry":
+            pairs = np.argwhere(strict)
+            if len(pairs):
+                a, b = pick(pairs)
+                leq[b, a] = True
+        else:
+            which = draw(st.sampled_from(["meet", "join"]))
+            i, j = draw(element), draw(element)
+            value = bound(which, i, j)
+            tables[which][i, j] = value
+            if kind == "both":
+                tables[which][j, i] = value
+    return lk.Poset(l.names, leq), tables["meet"], tables["join"], l.bottom_index, l.top_index
+
+
+class TestVerifyMatchesPairScan:
+    @settings(max_examples=600, deadline=None)
+    @given(corrupted_tables(), st.sampled_from(BLOCK_CELLS))
+    def test_corrupted_tables(self, case, cells):
+        poset, meet, join, bottom, top = case
+        expected = verify_outcome(lambda: reference_verify(poset, meet, join))
+        with table_blocks(cells):
+            got = verify_outcome(lambda: lk.Lattice(poset, meet, join, bottom, top))
+        assert got == expected
+
+    def test_valid_lattices_skip_the_pair_scan(self, monkeypatch, case_n1_spec, case_n2_spec):
+        scanned = []
+        scan = lk.Lattice._scan_pairs
+
+        def counted(l):
+            scanned.append(l.n)
+            return scan(l)
+
+        monkeypatch.setattr(lk.Lattice, "_scan_pairs", counted)
+        built = [make() for make in CATALOG.values()]
+        built += [fd.generate_lattice(k, extended=e) for k in range(1, 5) for e in (False, True)]
+        built += [lk.reconstruct(s, with_bounds=True).lattice for s in (case_n1_spec, case_n2_spec)]
+        built += [lk.add_bounds(l, bottom="lo", top="hi") for l in built[:4]]
+        built.append(catalog.boolean_lattice(8))
+        assert len(built) == len(CATALOG) + 15 and scanned == []
+        b4 = catalog.boolean_lattice(4)
+        join = np.array(b4.join)
+        join[1, 2] = join[2, 1] = b4.top_index  # an upper bound, not the least
+        with pytest.raises(lk.NotALattice) as exc:
+            lk.Lattice(b4.poset, b4.meet, join, b4.bottom_index, b4.top_index)
+        assert exc.value.pair == (b4.names[1], b4.names[2]) and scanned == [16]
+
+    @pytest.mark.parametrize("value", [-1, 8, 99])
+    @pytest.mark.parametrize("which", ["meet", "join"])
+    def test_entries_out_of_range(self, b3, value, which):
+        tables = {"meet": np.array(b3.meet), "join": np.array(b3.join)}
+        tables[which][1, 2] = value
+        with pytest.raises(lk.NotALattice) as exc:
+            lk.Lattice(b3.poset, tables["meet"], tables["join"], b3.bottom_index, b3.top_index)
+        assert (exc.value.pair, exc.value.kind) == (("<table>", "<table>"), which)

@@ -1,9 +1,7 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
@@ -12,10 +10,12 @@ from latticekit.cli import main
 
 from conftest import (
     BLOCK_CELLS,
+    CATALOG,
     FIXTURES,
     distributive_fixture_lattices,
     reference_find_diamond,
     reference_find_pentagon,
+    searched_lattices,
     table_blocks,
 )
 
@@ -224,61 +224,6 @@ class TestRandomAgreement:
 
 
 # -- array-at-a-time searches against the pair loops ----------------------------
-
-
-def reordered_lattice(l, order):
-    """``l`` rebuilt through ``as_lattice`` with its elements listed in
-    ``order`` (indices into ``l``)."""
-    order = np.asarray(order)
-    names = [l.names[i] for i in order]
-    return lk.as_lattice(lk.Poset(names, l.leq[np.ix_(order, order)]))
-
-
-def product_lattice(s, t):
-    """The product lattice s x t, elements named ``x.y``, s-major order."""
-    leq = (s.leq[:, None, :, None] & t.leq[None, :, None, :]).reshape(
-        s.n * t.n, s.n * t.n
-    )
-    names = [f"{x}.{y}" for x in s.names for y in t.names]
-    return lk.as_lattice(lk.Poset(names, leq))
-
-
-@st.composite
-def searched_lattices(draw):
-    """J(P) of a random poset on at most 5 points, or M3 x J(P) or
-    N5 x J(P) with P on at most 3 points (at most 40 elements), with its
-    elements listed in a random order and its tables built in row blocks
-    of a drawn size."""
-    factor = draw(st.sampled_from([None, catalog.diamond, catalog.pentagon]))
-    k = draw(st.integers(min_value=1, max_value=5 if factor is None else 3))
-    names = [f"x{i}" for i in range(k)]
-    covers = [
-        (names[i], names[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-        if draw(st.booleans())
-    ]
-    with table_blocks(draw(st.sampled_from(BLOCK_CELLS))):
-        l = lk.ideals_lattice(lk.build_poset(names, covers, warn_redundant=False)).lattice
-        if factor is not None:
-            l = product_lattice(factor(), l)
-        return reordered_lattice(l, draw(st.permutations(range(l.n))))
-
-
-CATALOG = {
-    "pentagon": catalog.pentagon,
-    "diamond": catalog.diamond,
-    "chain4": lambda: lk.as_lattice(catalog.chain_poset(4)),
-    "B4": lambda: catalog.boolean_lattice(4),
-    "D60": lambda: catalog.divisor_lattice(60),
-    "D72": lambda: catalog.divisor_lattice(72),
-    "free3": lambda: fd.generate_lattice(3),
-    "M3xN5": lambda: product_lattice(catalog.diamond(), catalog.pentagon()),
-    **{
-        f"random{k}": lambda k=k: catalog.random_lattice(random.Random(k), max_size=16)
-        for k in range(12)
-    },
-}
 
 
 class TestSearchesMatchPairLoops:

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,6 +9,9 @@ import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit.reconstruct import IrreducibleDecl, ReconstructionSpec
+
+# the package binds the name ``reconstruct`` to the function
+reconstruct_module = importlib.import_module("latticekit.reconstruct")
 
 # the non-simple submodules of the first case study, by factor content
 CASE_N1_FACTOR_SETS = {
@@ -212,6 +217,23 @@ class TestReconstruct:
         lk.reconstruct(case_n1_spec)
         lk.reconstruct(case_n2_spec)
 
+
+
+class TestPostconditions:
+    """The result checks raise InvariantViolation, so ``python -O`` keeps them."""
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            ("is_distributive", lambda l: SimpleNamespace(distributive=False), "not distributive"),
+            ("is_multiplicity_free", lambda l: False, "not multiplicity free"),
+            ("is_isomorphic", lambda p, q: None, "do not match the spec"),
+        ],
+    )
+    def test_each_guard_fires(self, monkeypatch, case_n1_spec, name, fake, message):
+        monkeypatch.setattr(reconstruct_module, name, fake)
+        with pytest.raises(lk.InvariantViolation, match=message):
+            lk.reconstruct(case_n1_spec)
 
 class TestElementFactors:
     def test_all_seventeen_nonsimple_sets(self, case_n1):
