@@ -31,6 +31,7 @@ from .errors import (
     DuplicateTopFactor,
     EmbeddingFailure,
     InconsistentOrder,
+    InvalidArgument,
     InvalidSpec,
     InvariantViolation,
     LatticeError,

@@ -14,6 +14,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     InvariantViolation,
     NotDistributive,
     SizeLimitExceeded,
@@ -24,6 +25,7 @@ from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
     _mask_indices,
+    _masks_to_rows,
     is_isomorphic,
     order_ideal_masks,
 )
@@ -48,7 +50,7 @@ class LabeledLattice:
         labeled = set(self.edge_labels)
         if edges != labeled:
             missing = sorted(edges - labeled) + sorted(labeled - edges)
-            raise ValueError(f"edge labels do not match cover edges: {missing}")
+            raise InvalidArgument(f"edge labels do not match cover edges: {missing}")
 
     @property
     def names(self):
@@ -214,9 +216,6 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     steps: list[TraceStep] = []
 
     nodes: set[int] = set()
-    base_mask = 0
-    for i in sorted(minimal):
-        base_mask |= 1 << i
     subsets = [0]
     for i in sorted(minimal):
         subsets += [s | (1 << i) for s in subsets]
@@ -299,12 +298,8 @@ def _node_name(p: Poset, mask: int) -> str:
 def _snapshot(p: Poset, nodes: set[int], description: str) -> TraceStep:
     masks = sorted(nodes, key=lambda m: (bin(m).count("1"), _mask_indices(m)))
     names = [_node_name(p, mask) for mask in masks]
-    m = len(masks)
-    leq = np.zeros((m, m), dtype=bool)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            leq[i, j] = a & ~b == 0
-    snap = Poset(names, leq)
+    rows = _masks_to_rows(masks, p.n)
+    snap = Poset(names, (rows[:, None, :] <= rows[None, :, :]).all(axis=2))  # subsets
     labels: dict[Edge, str] = {}
     for i, j in snap.cover_pairs:
         diff = masks[j] & ~masks[i]

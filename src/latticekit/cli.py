@@ -143,31 +143,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args, limit) -> int:
     l = io.read_lattice(args.file)
     prop = args.property
-    if prop == "modular":
-        rep = properties.is_modular(l)
-        if rep.modular:
-            print("modular: true")
+    if prop in ("modular", "distributive"):
+        judge = properties.is_modular if prop == "modular" else properties.is_distributive
+        rep = judge(l)
+        print(f"{prop}: {'true' if rep else 'false'}")
+        if rep:
             return 0
-        print("modular: false")
         if rep.violation:
             a, b, c = rep.violation
             print(f"  identity fails at a={a} b={b} c={c}")
-        if rep.pentagon:
-            print(f"  pentagon sublattice: {', '.join(rep.pentagon)}")
-        return 1
-    if prop == "distributive":
-        rep = properties.is_distributive(l)
-        if rep.distributive:
-            print("distributive: true")
-            return 0
-        print("distributive: false")
-        if rep.violation:
-            a, b, c = rep.violation
-            print(f"  identity fails at a={a} b={b} c={c}")
-        if rep.pentagon:
-            print(f"  pentagon sublattice: {', '.join(rep.pentagon)}")
-        if rep.diamond:
-            print(f"  diamond sublattice: {', '.join(rep.diamond)}")
+        for shape in ("pentagon", "diamond"):
+            if getattr(rep, shape, None):
+                print(f"  {shape} sublattice: {', '.join(getattr(rep, shape))}")
         return 1
     if prop == "semimodular":
         rep = properties.is_upper_semimodular(l)

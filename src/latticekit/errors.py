@@ -25,6 +25,12 @@ class ChainCapExceeded(SizeLimitExceeded):
     """Explicit maximal-chain enumeration would exceed the chain cap."""
 
 
+class InvalidArgument(LatticeError, ValueError):
+    """An argument is outside its domain: a negative generator count, a
+    name already taken, labels that miss cover edges.  Also a ValueError,
+    so callers catching that keep working."""
+
+
 class InvariantViolation(LatticeError):
     """Equivalent criteria, or two computations of one result, disagree.
 

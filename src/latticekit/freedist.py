@@ -20,6 +20,8 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DnfSyntaxError,
+    InvalidArgument,
+    InvariantViolation,
     SizeLimitExceeded,
     UnknownVariable,
 )
@@ -313,7 +315,7 @@ def generate_lattice(n: int, extended: bool = False, cap: int = GENERATE_CAP) ->
             f"generate_lattice capped at n={cap}; use dedekind_count for counts"
         )
     if n < 1:
-        raise ValueError("need at least one generator")
+        raise InvalidArgument(f"need at least one generator (got n={n})")
     elements = enumerate_elements(n, extended)
     tts = np.array([e.truth_table() for e in elements], dtype=np.uint64)
     bits = np.unpackbits(tts.view(np.uint8).reshape(len(tts), -1), axis=1)
@@ -337,7 +339,7 @@ def dedekind_count(n: int) -> int:
     oracle.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgument(f"n must be nonnegative (got n={n})")
     if n > COUNT_CAP:
         raise SizeLimitExceeded(f"dedekind_count capped at n={COUNT_CAP}")
     if n == 0:
@@ -360,7 +362,8 @@ def dedekind_count(n: int) -> int:
     total = count((1 << ((1 << n) - 1)) - 1) + 1
     if n <= 4:
         oracle = monotone_function_count(n)
-        assert total == oracle, f"enumerator {total} != oracle {oracle}"
+        if total != oracle:
+            raise InvariantViolation(f"M({n}): enumerator {total} != oracle {oracle}")
     return total
 
 
@@ -394,7 +397,8 @@ def check_self_dual(n: int, cap: int = 4) -> dict[str, str]:
         raise SizeLimitExceeded(f"self-duality check capped at n={cap}")
     l = generate_lattice(n, extended=False)
     iso = lattice_isomorphic(l, l.dual)
-    assert iso is not None, "free distributive lattice should be self-dual"
+    if iso is None:
+        raise InvariantViolation(f"restricted Λ{n} is not self-dual")
     return iso
 
 

@@ -43,9 +43,9 @@ def poset_from_dict(data: dict) -> tuple[Poset, dict]:
     """Poset and edge labels from the shape above.
 
     Raises :class:`InvalidSpec` naming the first field that does not fit
-    it: ``data`` must be an object with an ``elements`` list and a
-    ``covers`` list of [lower, upper] pairs; ``labels``, when present, an
-    object keyed ``lower|upper``.
+    it: ``data`` must be an object with an ``elements`` list of distinct
+    names and a ``covers`` list of [lower, upper] pairs; ``labels``, when
+    present, an object of strings keyed ``lower|upper``.
     """
     if not isinstance(data, dict):
         raise InvalidSpec(f"poset file must hold a JSON object, not {type(data).__name__}")
@@ -56,6 +56,11 @@ def poset_from_dict(data: dict) -> tuple[Poset, dict]:
             raise InvalidSpec(
                 f"{field!r} must be a list, not {type(data[field]).__name__}"
             )
+    seen = set()
+    for name in map(str, data["elements"]):
+        if name in seen:
+            raise InvalidSpec(f"'elements' repeats the name {name!r}")
+        seen.add(name)
     for pair in data["covers"]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidSpec(
@@ -69,6 +74,8 @@ def poset_from_dict(data: dict) -> tuple[Poset, dict]:
         a, sep, b = key.partition("|")
         if not sep:
             raise InvalidSpec(f"'labels' key {key!r} is not of the form 'lower|upper'")
+        if not isinstance(lab, str):
+            raise InvalidSpec(f"'labels' value for {key!r} must be a string, not {lab!r}")
         labels[(a, b)] = lab
     p = build_poset(data["elements"], [tuple(c) for c in data["covers"]])
     return p, labels

@@ -11,12 +11,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import (
+    InvalidArgument,
     NotALattice,
     NotComparable,
     NotRestricted,
     SizeLimitExceeded,
 )
-from .poset import Poset, dual_poset
+from .poset import Poset, _mask_indices, dual_poset
 
 VERIFY_LIMIT = 2000  # exhaustive table verification cap
 RANK_IRREDUCIBLE_CAP = 20
@@ -194,54 +195,22 @@ class Lattice:
         before meets) whose common upper bounds are not up(join[a, b]) or
         whose common lower bounds are not down(meet[a, b]); return when
         there is none.  O(n³/64) word operations."""
-        n = self.n
-        leq = self.leq
-        meet, join = self.meet, self.join
-        packed = np.packbits(leq, axis=1)
-        packed_t = np.packbits(leq.T, axis=1)
-        for a in range(n):
-            ub = packed[a] & packed
-            if not (ub == packed[join[a]]).all():
-                b = int(np.nonzero((ub != packed[join[a]]).any(axis=1))[0][0])
-                raise NotALattice(
-                    (self.names[a], self.names[b]),
-                    self._minimal_upper_bounds(a, b),
-                    "join",
-                )
-            lb = packed_t[a] & packed_t
-            if not (lb == packed_t[meet[a]]).all():
-                b = int(np.nonzero((lb != packed_t[meet[a]]).any(axis=1))[0][0])
-                raise NotALattice(
-                    (self.names[a], self.names[b]),
-                    self._maximal_lower_bounds(a, b),
-                    "meet",
-                )
-
-    def _minimal_upper_bounds(self, a: int, b: int) -> list[str]:
-        ub = self.poset.up_masks[a] & self.poset.up_masks[b]
-        down = self.poset.down_masks
-        out = []
-        m = ub
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if down[i] & ub & ~(1 << i) == 0:
-                out.append(self.names[i])
-        return out
-
-    def _maximal_lower_bounds(self, a: int, b: int) -> list[str]:
-        lb = self.poset.down_masks[a] & self.poset.down_masks[b]
-        up = self.poset.up_masks
-        out = []
-        m = lb
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if up[i] & lb & ~(1 << i) == 0:
-                out.append(self.names[i])
-        return out
+        up, down = self.poset.up_masks, self.poset.down_masks
+        checks = (
+            (np.packbits(self.leq, axis=1), self.join, up, down, "join"),
+            (np.packbits(self.leq.T, axis=1), self.meet, down, up, "meet"),
+        )
+        for a in range(self.n):
+            for rows, table, bounds, opposite, kind in checks:
+                wrong = ((rows[a] & rows) != rows[table[a]]).any(axis=1)
+                if wrong.any():
+                    b = int(np.argmax(wrong))
+                    extremal = _extremal(bounds[a] & bounds[b], opposite)
+                    raise NotALattice(
+                        (self.names[a], self.names[b]),
+                        [self.names[i] for i in extremal],
+                        kind,
+                    )
 
     # -- grading ------------------------------------------------------------
 
@@ -351,29 +320,20 @@ def _raise_first_failure(p: Poset, a: int) -> None:
     b upward from a with the join checked before the meet."""
     up, down = p.up_masks, p.down_masks
     for b in range(a, p.n):
-        _unique_least(up[a] & up[b], down, p, a, b, "join")
-        _unique_least(down[a] & down[b], up, p, a, b, "meet")
+        for bounds, opposite, kind in ((up, down, "join"), (down, up, "meet")):
+            least = _extremal(bounds[a] & bounds[b], opposite)
+            if len(least) != 1:
+                raise NotALattice(
+                    (p.names[a], p.names[b]), [p.names[i] for i in least], kind
+                )
     raise RuntimeError(f"row {a} was flagged but all its bounds are unique")
 
 
-def _unique_least(bounds: int, opposite: tuple[int, ...], p: Poset, a, b, kind):
-    """Index of the unique minimal element of ``bounds`` (a bitmask);
-    minimality measured against ``opposite`` masks."""
-    if bounds == 0:
-        raise NotALattice((p.names[a], p.names[b]), [], kind)
-    minimal = []
-    m = bounds
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        if opposite[i] & bounds & ~(1 << i) == 0:
-            minimal.append(i)
-    if len(minimal) != 1:
-        raise NotALattice(
-            (p.names[a], p.names[b]), [p.names[i] for i in minimal], kind
-        )
-    return minimal[0]
+def _extremal(bounds: int, opposite: tuple[int, ...]) -> list[int]:
+    """The members i of the bitmask ``bounds`` whose ``opposite[i]`` holds
+    no other member: the minimal ones for down-set masks, the maximal ones
+    for up-set masks."""
+    return [i for i in _mask_indices(bounds) if opposite[i] & bounds & ~(1 << i) == 0]
 
 
 def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -586,13 +546,11 @@ def interval_sublattice(l: Lattice, a: str, b: str) -> Lattice:
     ia, ib = l.index(a), l.index(b)
     if not l.leq[ia, ib]:
         raise NotComparable(f"{a!r} is not below {b!r}")
-    keep = [i for i in range(l.n) if l.leq[ia, i] and l.leq[i, ib]]
-    pos = {i: k for k, i in enumerate(keep)}
-    sub = l.poset.restrict(keep)
-    arr = np.array(keep)
-    meet = np.vectorize(pos.__getitem__)(l.meet[np.ix_(arr, arr)])
-    join = np.vectorize(pos.__getitem__)(l.join[np.ix_(arr, arr)])
-    return Lattice(sub, meet, join, pos[ia], pos[ib], verify=False)
+    keep = np.flatnonzero(l.leq[ia] & l.leq[:, ib])
+    # keep is ascending, so searchsorted gives each element's new index
+    meet, join = (np.searchsorted(keep, t[np.ix_(keep, keep)]) for t in (l.meet, l.join))
+    bottom, top = np.searchsorted(keep, [ia, ib])
+    return Lattice(l.poset.restrict(keep.tolist()), meet, join, bottom, top, verify=False)
 
 
 def add_bounds(
@@ -608,11 +566,11 @@ def add_bounds(
     extra = []
     if bottom is not None:
         if bottom in l.poset:
-            raise ValueError(f"name {bottom!r} already present")
+            raise InvalidArgument(f"name {bottom!r} already present")
         extra.append(("bottom", bottom))
     if top is not None:
         if top in l.poset or top == bottom:
-            raise ValueError(f"name {top!r} already present")
+            raise InvalidArgument(f"name {top!r} already present")
         extra.append(("top", top))
     if not extra:
         return l

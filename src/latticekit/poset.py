@@ -139,13 +139,17 @@ class Poset:
 
 
 def _rows_to_masks(matrix: np.ndarray) -> list[int]:
-    masks = []
-    for row in matrix:
-        m = 0
-        for j in np.nonzero(row)[0]:
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+    """Row i of a boolean matrix as a Python int with bit j = matrix[i, j]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _masks_to_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """The inverse of :func:`_rows_to_masks` for masks below ``1 << n``."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 # -- construction ---------------------------------------------------------
@@ -187,14 +191,7 @@ def build_poset(
         for j in succ[i]:
             up[i] |= up[j]
 
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        m = up[i]
-        while m:
-            low = m & -m
-            leq[i, low.bit_length() - 1] = True
-            m ^= low
-    poset = Poset(names, leq)
+    poset = Poset(names, _masks_to_rows(up, n))
 
     if warn_redundant:
         reduction = set(poset.cover_pairs)
@@ -288,7 +285,7 @@ def order_ideal_masks(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[int]:
         t = order[pos]
         stack.append((pos + 1, cur, blocked | up[t]))
         stack.append((pos + 1, cur | (1 << t), blocked))
-    out.sort(key=lambda m: (_popcount(m), _mask_indices(m)))
+    out.sort(key=lambda m: (bin(m).count("1"), _mask_indices(m)))
     return out
 
 
@@ -298,10 +295,6 @@ def order_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[frozenset[str]]
         frozenset(p.names[i] for i in _mask_indices(m))
         for m in order_ideal_masks(p, cap)
     ]
-
-
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
 
 
 def _mask_indices(m: int) -> tuple[int, ...]:

@@ -154,16 +154,22 @@ class ModularityReport:
         return self.modular
 
 
+# The identity criteria gather int16 table values with ``take``; their
+# indices are converted to intp once per call, not once per b.
+
+
 def _modular_identity_violation(l: Lattice):
-    n = l.n
-    meet, join = l.meet.astype(int), l.join.astype(int)
-    for b in range(n):
-        jb = join[b]
-        lhs = jb[meet]  # lhs[a, c] = b v (a ^ c)
-        rhs = meet[jb]  # rhs[a, c] = (b v a) ^ c
-        bad = (lhs != rhs) & l.leq[b][None, :]  # require b <= c
-        if bad.any():  # argwhere only on failure: it costs a full scan
-            a, c = (int(v) for v in np.argwhere(bad)[0])
+    meet, join = l.meet, l.join
+    meet_at, join_at = meet.astype(np.intp), join.astype(np.intp)
+    for b in range(l.n):
+        up = np.flatnonzero(l.leq[b])  # the c with b <= c
+        # row c, column a (meet is symmetric): b v (a ^ c) and (b v a) ^ c
+        lhs = join[b].take(meet_at.take(up, axis=0))
+        rhs = meet.take(up, axis=0).take(join_at[b], axis=1)
+        bad = lhs != rhs
+        if bad.any():  # the first a, then the first c, as in a row-major scan
+            a = int(np.argmax(bad.any(axis=0)))
+            c = int(up[np.argmax(bad[:, a])])
             return l.names[a], l.names[b], l.names[c]
     return None
 
@@ -204,13 +210,12 @@ class DistributivityReport:
 
 
 def _distributive_identity_violation(l: Lattice, dualized: bool = False):
-    n = l.n
-    meet = (l.join if dualized else l.meet).astype(int)
-    join = (l.meet if dualized else l.join).astype(int)
-    for b in range(n):
-        jb = join[b]
-        lhs = jb[meet]  # b v (a ^ c)
-        rhs = meet[jb][:, jb]  # (b v a) ^ (b v c)
+    meet, join = (l.join, l.meet) if dualized else (l.meet, l.join)
+    meet_at, join_at = meet.astype(np.intp), join.astype(np.intp)
+    for b in range(l.n):
+        jb = join_at[b]
+        lhs = join[b].take(meet_at)  # b v (a ^ c)
+        rhs = meet.take(jb, axis=0).take(jb, axis=1)  # (b v a) ^ (b v c)
         bad = lhs != rhs
         if bad.any():
             a, c = (int(v) for v in np.argwhere(bad)[0])
@@ -272,7 +277,8 @@ class IntervalClassPartition:
 def interval_classes(
     l: Lattice, *, allow_nonmodular: bool = False
 ) -> IntervalClassPartition:
-    """Union-find over cover edges via length-one perspectivities.
+    """Connected components of the cover edges under length-one
+    perspectivities.
 
     For every ordered pair (a, b): when both [a^b, b] and [a, avb] are
     cover edges they are merged.  Requires a modular lattice (the relation
@@ -283,41 +289,39 @@ def interval_classes(
             "interval classes need a modular lattice; "
             "pass allow_nonmodular=True to override"
         )
-    covers = l.poset.covers_matrix
-    pairs = l.poset.cover_pairs
-    edge_id = {e: k for k, e in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     n = l.n
-    meet, join = l.meet.astype(int), l.join.astype(int)
-    rows = np.arange(n)
-    lower_is_cover = covers[meet, rows[None, :]]  # b covers a ^ b
-    upper_is_cover = covers[rows[:, None], join]  # a v b covers a
-    for a, b in np.argwhere(lower_is_cover & upper_is_cover):
-        a, b = int(a), int(b)
-        union(edge_id[(int(meet[a, b]), b)], edge_id[(a, int(join[a, b]))])
+    covers = l.poset.covers_matrix.ravel()
+    # edge k is the k-th cover in cover_pairs order, which is the row-major
+    # order of its key lower * n + upper
+    keys = np.flatnonzero(covers)
+    index = np.arange(n)
+    lower = l.meet.astype(np.intp) * n + index  # key of [a^b, b]
+    upper = index[:, None] * n + l.join  # key of [a, avb]
+    both = covers.take(lower) & covers.take(upper)
+    first, second = (np.searchsorted(keys, key[both]) for key in (lower, upper))
 
-    groups: dict[int, list[int]] = {}
-    for k in range(len(pairs)):
-        groups.setdefault(find(k), []).append(k)
-    ordered = sorted(groups.values(), key=lambda g: pairs[min(g)])
-    name = lambda e: (l.names[e[0]], l.names[e[1]])
-    classes = tuple(tuple(name(pairs[k]) for k in sorted(g)) for g in ordered)
+    # Shiloach-Vishkin hook and compress: each label stays in its edge's
+    # component and at most its edge's id, so at the fixed point every edge
+    # is labelled by the smallest edge of its component
+    label = np.arange(keys.size)
+    while True:
+        one, two = label[first], label[second]
+        if np.array_equal(one, two):
+            break
+        np.minimum.at(label, one, two)  # hook the larger root of each pair
+        np.minimum.at(label, two, one)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):  # compress to roots
+            label, jumped = jumped, jumped[jumped]
+
+    names = l.names
+    edges = tuple((names[k // n], names[k % n]) for k in keys.tolist())
+    groups: dict[int, list[Edge]] = {}
+    for edge, root in zip(edges, label.tolist()):
+        groups.setdefault(root, []).append(edge)
+    classes = tuple(map(tuple, groups.values()))  # ordered by smallest edge
     class_of = {e: i for i, cls in enumerate(classes) for e in cls}
-    return IntervalClassPartition(
-        tuple(name(e) for e in pairs), class_of, classes
-    )
+    return IntervalClassPartition(edges, class_of, classes)
 
 
 # -- maximal chains and Jordan-Holder ---------------------------------------------------
@@ -423,9 +427,7 @@ def verify_jordan_holder(
             vec[i] = next(iter(options))
 
     ok = witness is None
-    mult = None
-    if ok:
-        mult = {c: vec[l.top_index][c] for c in range(k)}
+    mult = {c: vec[l.top_index][c] for c in range(k)} if ok else None
     if exhaustive:
         chains = maximal_chains(l, cap=chain_cap)
         vectors = {

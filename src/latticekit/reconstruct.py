@@ -70,25 +70,68 @@ class ReconstructionSpec:
 
 
 def load_spec(source: Union[str, Path, dict]) -> ReconstructionSpec:
-    """Read a reconstruction spec from a JSON file or an already-parsed dict."""
+    """Read a reconstruction spec from a JSON file or an already-parsed dict.
+
+    Raises :class:`InvalidSpec` naming the first field that does not fit
+    the shape: an object with a ``factors`` list of names and an
+    ``irreducibles`` list of objects, each with a ``name``, a ``top`` and a
+    ``factors`` list; optional ``order`` items are [lower, upper] pairs,
+    ``edges`` items [lower, upper, label] triples, and ``bounds`` an object
+    keyed by :class:`Bounds` field names.  All names are strings.
+    """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
     else:
         data = source
-    bounds = None
-    if "bounds" in data:
-        bounds = Bounds(**data["bounds"])
+    kind = type(data).__name__
+    _require(isinstance(data, dict), f"spec file must hold a JSON object, not {kind}")
+    for key in ("factors", "irreducibles"):
+        _require(isinstance(data.get(key), (list, tuple)), f"spec has no {key!r} list")
+    irreducibles = []
+    for k, d in enumerate(data["irreducibles"]):
+        where = f"'irreducibles' item {k}"
+        _require(isinstance(d, dict), f"{where} must be an object, not {d!r}")
+        for key in ("name", "top", "factors"):
+            _require(key in d, f"{where} has no {key!r}")
+        name, top = (_name(d[key], f"{where} {key!r}") for key in ("name", "top"))
+        factors = _names(d["factors"], f"{where} 'factors'")
+        irreducibles.append(IrreducibleDecl(name, top, factors))
+    bounds = data.get("bounds")
+    if bounds is not None:
+        _require(isinstance(bounds, dict), f"'bounds' must be an object, not {bounds!r}")
+        unknown = sorted(set(bounds) - set(Bounds.__dataclass_fields__))
+        _require(not unknown, f"'bounds' has unknown keys {unknown}")
+        bounds = Bounds(**{k: _name(v, f"'bounds' {k!r}") for k, v in bounds.items()})
+    order, edges = data.get("order", []), data.get("edges", [])
+    for key, items in (("order", order), ("edges", edges)):
+        _require(isinstance(items, (list, tuple)), f"{key!r} must be a list, not {items!r}")
     return ReconstructionSpec(
-        factors=tuple(data["factors"]),
-        irreducibles=tuple(
-            IrreducibleDecl(d["name"], d["top"], tuple(d["factors"]))
-            for d in data["irreducibles"]
-        ),
-        order=tuple((a, b) for a, b in data.get("order", ())),
-        edges=tuple((a, b, lab) for a, b, lab in data.get("edges", ())),
+        factors=_names(data["factors"], "'factors'"),
+        irreducibles=tuple(irreducibles),
+        order=tuple(_names(x, f"'order' item {k}", 2) for k, x in enumerate(order)),
+        edges=tuple(_names(x, f"'edges' item {k}", 3) for k, x in enumerate(edges)),
         bounds=bounds,
     )
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidSpec(message)
+
+
+def _name(value, what: str) -> str:
+    _require(isinstance(value, str), f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _names(value, what: str, length: Optional[int] = None) -> tuple[str, ...]:
+    """``value``, a list of strings (of ``length`` items when given), as a tuple."""
+    ok = isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+    size = "" if length is None else f"{length} "
+    ok = ok and length in (None, len(value))
+    _require(ok, f"{what} must be a list of {size}strings, not {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -111,6 +154,10 @@ def validate_spec(s: ReconstructionSpec) -> SpecReport:
     names = [d.name for d in s.irreducibles]
     if len(set(names)) != len(names):
         raise InvalidSpec("duplicate irreducible names")
+    for name in names:
+        # elements are named "0" and by joining irreducible names with "+"
+        if name == "0" or "+" in name:
+            raise InvalidSpec(f"irreducible name {name!r} is '0' or contains '+'")
     seen_tops: dict[str, str] = {}
     covered: set[str] = set()
     for d in s.irreducibles:
@@ -209,9 +256,7 @@ def reconstruct(
 
     def namer(members: tuple[str, ...]) -> str:
         idx = [p.index(x) for x in members]
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
+        mask = sum(1 << i for i in idx)
         maximal = [i for i in idx if up_masks[i] & mask & ~(1 << i) == 0]
         return _join_name(tuple(p.names[i] for i in sorted(maximal)))
 

@@ -127,6 +127,70 @@ def reference_find_diamond(l):
     return None
 
 
+def reference_interval_classes(l, *, allow_nonmodular=False):
+    """Union-find reference for ``interval_classes``: merge the edges
+    [a^b, b] and [a, avb] for every pair (a, b) where both are covers,
+    number the classes by their smallest edge."""
+    if not allow_nonmodular and not lk.is_modular(l).modular:
+        raise lk.NotModular("interval classes need a modular lattice")
+    covers = l.poset.covers_matrix
+    pairs = l.poset.cover_pairs
+    edge_id = {e: k for k, e in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    n = l.n
+    meet, join = l.meet.astype(int), l.join.astype(int)
+    for a in range(n):
+        for b in range(n):
+            lower, upper = (int(meet[a, b]), b), (a, int(join[a, b]))
+            if covers[lower] and covers[upper]:
+                x, y = find(edge_id[lower]), find(edge_id[upper])
+                parent[max(x, y)] = min(x, y)
+
+    groups = {}
+    for k in range(len(pairs)):
+        groups.setdefault(find(k), []).append(k)
+    ordered = sorted(groups.values(), key=lambda g: pairs[min(g)])
+    name = lambda e: (l.names[e[0]], l.names[e[1]])
+    classes = tuple(tuple(name(pairs[k]) for k in sorted(g)) for g in ordered)
+    class_of = {e: i for i, cls in enumerate(classes) for e in cls}
+    return lk.IntervalClassPartition(tuple(name(e) for e in pairs), class_of, classes)
+
+
+def reference_modular_identity_violation(l):
+    """Per-b int64 reference: the first (a, c), row-major, with b <= c and
+    b v (a ^ c) != (b v a) ^ c, as names (a, b, c), or None."""
+    meet, join = l.meet.astype(np.int64), l.join.astype(np.int64)
+    for b in range(l.n):
+        jb = join[b]
+        bad = (jb[meet] != meet[jb]) & l.leq[b][None, :]
+        if bad.any():
+            a, c = (int(v) for v in np.argwhere(bad)[0])
+            return l.names[a], l.names[b], l.names[c]
+    return None
+
+
+def reference_distributive_identity_violation(l, dualized=False):
+    """Per-b int64 reference: the first (a, c), row-major, with
+    b v (a ^ c) != (b v a) ^ (b v c) (operations swapped when
+    ``dualized``), as names (a, b, c), or None."""
+    meet = (l.join if dualized else l.meet).astype(np.int64)
+    join = (l.meet if dualized else l.join).astype(np.int64)
+    for b in range(l.n):
+        jb = join[b]
+        bad = jb[meet] != meet[jb][:, jb]
+        if bad.any():
+            a, c = (int(v) for v in np.argwhere(bad)[0])
+            return l.names[a], l.names[b], l.names[c]
+    return None
+
+
 def reordered_lattice(l, order):
     """``l`` rebuilt through ``as_lattice`` with its elements listed in
     ``order`` (indices into ``l``)."""

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import latticekit.freedist as fd
 from latticekit import catalog, cli
@@ -114,6 +120,240 @@ class TestMalformedPosetFiles:
             capsys, "check", FIXTURES / "case_n1.json", "--property", "modular"
         )
         assert code == 2 and "no 'elements' list" in err
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("check", "{}", "--property", "modular"),
+            ("render", "{}", "--out", "{}.dot"),
+            ("birkhoff", "irr", "{}"),
+            ("birkhoff", "ideals", "{}"),
+        ],
+    )
+    def test_repeated_element_name(self, capsys, tmp_path, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"elements": ["0", "a", "0"], "covers": []}))
+        code, out, err = run(capsys, *(a.format(bad) for a in verb))
+        assert (code, out) == (2, "")
+        assert err == "error: 'elements' repeats the name '0'\n"
+
+    def test_labels_must_be_strings(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        data = {"elements": ["0", "a"], "covers": [["0", "a"]], "labels": {"0|a": [1]}}
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "factors", bad, "a")
+        assert code == 2 and "'labels' value for '0|a' must be a string" in err
+
+    def test_factors_needs_every_edge_labeled(self, capsys):
+        code, _, err = run(capsys, "factors", FIXTURES / "divisor12.json", "12")
+        assert code == 2 and "edge labels do not match cover edges" in err
+
+
+class TestMalformedSpecFiles:
+    """Each spec shape error exits 2 with a message naming the field."""
+
+    GOOD = {
+        "factors": ["a", "b"],
+        "irreducibles": [
+            {"name": "A", "top": "a", "factors": ["a"]},
+            {"name": "B", "top": "b", "factors": ["a", "b"]},
+        ],
+        "order": [["A", "B"]],
+    }
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: [d], "spec file must hold a JSON object, not list"),
+            (lambda d: {"factors": ["a"]}, "spec has no 'irreducibles' list"),
+            (lambda d: {"irreducibles": []}, "spec has no 'factors' list"),
+            (lambda d: {**d, "factors": "ab"}, "spec has no 'factors' list"),
+            (lambda d: {**d, "factors": ["a", 1]}, "'factors' must be a list of strings"),
+            (
+                lambda d: {**d, "irreducibles": ["A"]},
+                "'irreducibles' item 0 must be an object",
+            ),
+            *[
+                (
+                    lambda d, key=key: {
+                        **d,
+                        "irreducibles": [
+                            d["irreducibles"][0],
+                            {k: v for k, v in d["irreducibles"][1].items() if k != key},
+                        ],
+                    },
+                    f"'irreducibles' item 1 has no {key!r}",
+                )
+                for key in ("name", "top", "factors")
+            ],
+            (
+                lambda d: {**d, "irreducibles": [{"name": 1, "top": "a", "factors": []}]},
+                "'irreducibles' item 0 'name' must be a string",
+            ),
+            (lambda d: {**d, "order": [["A"]]}, "'order' item 0 must be a list of 2 strings"),
+            (lambda d: {**d, "order": "AB"}, "'order' must be a list"),
+            (
+                lambda d: {**d, "edges": [["0", "A"]]},
+                "'edges' item 0 must be a list of 3 strings",
+            ),
+            (
+                lambda d: {**d, "bounds": {"top_name": "T", "socle": "s"}},
+                "'bounds' has unknown keys ['socle']",
+            ),
+            (lambda d: {**d, "bounds": ["T"]}, "'bounds' must be an object"),
+            (
+                lambda d: {**d, "bounds": {"top_name": 1}},
+                "'bounds' 'top_name' must be a string",
+            ),
+        ],
+    )
+    def test_shape_errors(self, capsys, tmp_path, change, message):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps(change(self.GOOD)))
+        code, out, err = run(capsys, "reconstruct", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("name", ["0", "A+B"])
+    def test_reserved_irreducible_names(self, capsys, tmp_path, name):
+        # "0" and "A+B" would also name the bottom and the join of A and B
+        irreducibles = [*self.GOOD["irreducibles"], {"name": name, "top": "c", "factors": ["c"]}]
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({**self.GOOD, "factors": ["a", "b", "c"], "irreducibles": irreducibles}))
+        code, _, err = run(capsys, "reconstruct", bad)
+        assert code == 2 and f"irreducible name {name!r} is '0' or contains '+'" in err
+
+    def test_bound_name_taken(self, capsys, tmp_path):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({**self.GOOD, "bounds": {"top_name": "A"}}))
+        code, _, err = run(capsys, "reconstruct", bad, "--with-bounds")
+        assert code == 2 and "name 'A' already present" in err
+
+    def test_good_spec(self, capsys, tmp_path):
+        good = tmp_path / "spec.json"
+        good.write_text(json.dumps({**self.GOOD, "bounds": {"top_name": "T"}}))
+        code, out, _ = run(capsys, "reconstruct", good, "--with-bounds")
+        assert (code, out) == (0, "5 elements\n")  # the chain 0 < A < B, plus bounds
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dedekind", "--n", "-1"), "n must be nonnegative"),
+            (("freedist", "count", "--n", "-1"), "n must be nonnegative"),
+            (("freedist", "generate", "--n", "0", "--out", "x.json"), "at least one generator"),
+        ],
+    )
+    def test_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+
+# -- fuzzing the input boundary -----------------------------------------------------
+
+NAMES = ["0", "a", "b", "1", "a|b", "a+b"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(NAMES), inner, max_size=3),
+    max_leaves=6,
+)
+names = st.sampled_from(NAMES)
+
+
+def maybe(strategy):
+    """``strategy`` most of the time, otherwise any small JSON value."""
+    return st.one_of(*[strategy] * 7, json_values)
+
+
+def fields(**strategies):
+    """An object with the given fields, now and then one of them left out."""
+    return st.fixed_dictionaries({k: maybe(v) for k, v in strategies.items()}).flatmap(
+        lambda d: st.sampled_from([None] * 4 + list(d)).map(
+            lambda drop: {k: v for k, v in d.items() if k != drop}
+        )
+    )
+
+
+def tuples_of(size):
+    """Lists of names, mostly ``size`` long."""
+    return maybe(st.lists(names, min_size=size, max_size=size))
+
+
+def fixtures_with_one_field_replaced(*files):
+    """The fixture files, each as it is or with one field given any value."""
+    data = [json.loads((FIXTURES / f).read_text(encoding="utf-8")) for f in files]
+    return st.tuples(st.sampled_from(data), json_values).flatmap(
+        lambda dv: st.sampled_from([None, None, *dv[0]]).map(
+            lambda key: dv[0] if key is None else {**dv[0], key: dv[1]}
+        )
+    )
+
+
+# one_of flattens nested one_ofs and picks among all their branches alike
+poset_files = st.one_of(
+    *[fixtures_with_one_field_replaced("n5.json", "m3.json", "divisor12.json")] * 2,
+    json_values,
+    *[fields(
+        elements=st.lists(names, max_size=5, unique=True) | st.lists(names, max_size=5),
+        covers=st.lists(tuples_of(2), max_size=6),
+        labels=st.dictionaries(st.sampled_from(["0|a", "a|1", "0|b", "b|1", "a"]), names),
+    )] * 2,
+)
+spec_files = st.one_of(
+    *[fixtures_with_one_field_replaced("case_n1.json", "case_n2.json")] * 2,
+    json_values,
+    *[fields(
+        factors=st.lists(names, max_size=4, unique=True),
+        irreducibles=st.lists(
+            fields(name=names, top=names, factors=st.lists(names, max_size=3, unique=True)),
+            max_size=4,
+        ),
+        order=st.lists(tuples_of(2), max_size=3),
+        edges=st.lists(tuples_of(3), max_size=2),
+        bounds=st.dictionaries(
+            st.sampled_from(["top_name", "bottom_label", "socle"]), names, max_size=2
+        ),
+    )] * 2,
+)
+poset_verbs = st.sampled_from(
+    [
+        *[
+            ("check", "{}", "--property", p)
+            for p in ("modular", "distributive", "semimodular", "graded", "multfree")
+        ],
+        ("check", "{}", "--property", "jordanholder", "--allow-nonmodular"),
+        ("render", "{}", "--out", "{}.dot"),
+        ("birkhoff", "ideals", "{}"),
+        ("birkhoff", "irr", "{}"),
+        ("birkhoff", "roundtrip", "{}"),
+        ("factors", "{}", "a"),
+    ]
+)
+spec_verbs = st.sampled_from(
+    [("reconstruct", "{}"), ("reconstruct", "{}", "--with-bounds", "--infer")]
+)
+
+
+class TestInputFuzz:
+    """Malformed files get a documented exit code and no traceback; 1
+    ("property false") comes only from ``check``."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(st.tuples(poset_files, poset_verbs), st.tuples(spec_files, spec_verbs)))
+    def test_exit_codes(self, case):
+        data, verb = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([a.format(path) for a in verb])
+        assert code in (0, 1, 2, 3), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert code != 1 or verb[0] == "check"
 
 class TestBirkhoffVerbs:
     def test_ideals(self, capsys, tmp_path):

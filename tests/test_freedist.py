@@ -123,6 +123,11 @@ class TestGenerate:
         with pytest.raises(lk.SizeLimitExceeded):
             fd.generate_lattice(6)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_generators(self, n):
+        with pytest.raises(lk.InvalidArgument, match="at least one generator"):
+            fd.generate_lattice(n)
+
 
 class TestDedekind:
     def test_known_values(self):
@@ -144,6 +149,19 @@ class TestDedekind:
         for n in range(5):
             ideals = lk.order_ideals(boolean_poset(n))
             assert fd.dedekind_count(n) == len(ideals)
+
+    def test_negative_n(self):
+        with pytest.raises(lk.InvalidArgument, match="got n=-1"):
+            fd.dedekind_count(-1)
+        with pytest.raises(ValueError):  # callers catching ValueError keep working
+            fd.dedekind_count(-1)
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        # an exception, not an assert: this also holds under python -O
+        monkeypatch.setattr(fd, "monotone_function_count", lambda n: -1)
+        with pytest.raises(lk.InvariantViolation, match="oracle -1"):
+            fd.dedekind_count(3)
+        assert fd.dedekind_count(5) == 7581  # past n = 4 the oracle is not run
 
 
 class TestParse:
@@ -204,6 +222,13 @@ class TestSelfDualAndMeets:
     def test_self_dual_cap(self):
         with pytest.raises(lk.SizeLimitExceeded):
             lk.check_self_dual(5)
+
+    def test_self_dual_failure_raises(self, monkeypatch):
+        import latticekit.birkhoff as birkhoff
+
+        monkeypatch.setattr(birkhoff, "lattice_isomorphic", lambda a, b: None)
+        with pytest.raises(lk.InvariantViolation, match="not self-dual"):
+            lk.check_self_dual(2)
 
     def test_meets_distinct(self):
         for n in (2, 3):

@@ -242,3 +242,25 @@ def test_ideals_are_downward_closed(p):
     for ideal in lk.order_ideals(p):
         for x in ideal:
             assert lk.down_set(p, x) <= ideal
+
+
+@st.composite
+def cover_lists(draw):
+    """Up to 20 elements, so packed rows span one to three bytes, listed
+    in a random order, with random covers from lower to higher e-number."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    names = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n))
+    return names, [(f"e{a}", f"e{b}") for a, b in pairs if a < b < n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cover_lists())
+def test_closure_and_masks_match_bruteforce(case):
+    names, covers = case
+    p = lk.build_poset(names, covers, warn_redundant=False)
+    for i, x in enumerate(names):
+        up = reachable_up(covers, x)
+        assert {names[j] for j in np.nonzero(p.leq[i])[0]} == up
+        assert p.up_masks[i] == sum(1 << names.index(y) for y in up)
+        assert p.down_masks[i] == sum(1 << j for j in range(len(names)) if p.leq[j, i])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
@@ -13,8 +14,12 @@ from conftest import (
     CATALOG,
     FIXTURES,
     distributive_fixture_lattices,
+    reference_distributive_identity_violation,
     reference_find_diamond,
     reference_find_pentagon,
+    reference_interval_classes,
+    reference_modular_identity_violation,
+    reordered_lattice,
     searched_lattices,
     table_blocks,
 )
@@ -242,6 +247,94 @@ class TestSearchesMatchPairLoops:
         for x in (l, l.dual):
             assert lk.find_pentagon(x) == reference_find_pentagon(x)
             assert lk.find_diamond(x) == reference_find_diamond(x)
+
+
+# -- interval classes and identity criteria against the references ------------------
+
+
+def shuffled_catalog_lattices():
+    """Every catalog lattice, each in a random element order."""
+    return st.sampled_from(sorted(CATALOG)).map(lambda name: CATALOG[name]()).flatmap(
+        lambda l: st.permutations(range(l.n)).map(lambda order: reordered_lattice(l, order))
+    )
+
+
+def assert_partition_matches(l):
+    """The partition (or NotModular) equals the union-find reference's,
+    and on a non-modular lattice also with ``allow_nonmodular``."""
+    if lk.is_modular(l).modular:
+        assert lk.interval_classes(l) == reference_interval_classes(l)
+    else:
+        with pytest.raises(lk.NotModular):
+            lk.interval_classes(l)
+    assert lk.interval_classes(l, allow_nonmodular=True) == reference_interval_classes(
+        l, allow_nonmodular=True
+    )
+
+
+def assert_witnesses_match(l):
+    """Exact identity witnesses (or None) on ``l`` and its dual."""
+    for x in (l, l.dual):
+        assert properties._modular_identity_violation(
+            x
+        ) == reference_modular_identity_violation(x)
+        for dualized in (False, True):
+            assert properties._distributive_identity_violation(
+                x, dualized
+            ) == reference_distributive_identity_violation(x, dualized)
+
+
+class TestIntervalClassesMatchUnionFind:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(searched_lattices(), shuffled_catalog_lattices()))
+    def test_random_orders(self, l):
+        assert_partition_matches(l)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert_partition_matches(CATALOG[name]())
+
+    def test_one_element_lattice(self):
+        l = lk.as_lattice(lk.build_poset(["x"], []))
+        part = lk.interval_classes(l)
+        assert part.edges == () and part.classes == () and part.class_of == {}
+        assert part == reference_interval_classes(l)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_chains(self, k):
+        l = lk.as_lattice(catalog.chain_poset(k))
+        part = lk.interval_classes(l)
+        assert part.count == k  # a chain of length k: every edge alone
+        assert part == reference_interval_classes(l)
+
+    def test_b1(self):
+        l = catalog.boolean_lattice(1)
+        part = lk.interval_classes(l)
+        assert part.classes == ((part.edges[0],),)
+        assert part == reference_interval_classes(l)
+
+    def test_catalog_holds_nonmodular_lattices(self):
+        assert any(not lk.is_modular(f()).modular for f in CATALOG.values())
+
+
+class TestIdentityWitnessesMatchReference:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(searched_lattices(), shuffled_catalog_lattices()))
+    def test_random_orders(self, l):
+        assert_witnesses_match(l)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert_witnesses_match(CATALOG[name]())
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_chains_and_one_element(self, k):
+        l = lk.as_lattice(catalog.chain_poset(k))
+        assert_witnesses_match(l)
+        assert properties._modular_identity_violation(l) is None
+
+    def test_b1(self):
+        assert_witnesses_match(catalog.boolean_lattice(1))
 
 
 # -- verdicts computed once per lattice -------------------------------------------
