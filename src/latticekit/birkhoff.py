@@ -9,6 +9,7 @@ join irreducible at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -20,12 +21,15 @@ from .errors import (
     SizeLimitExceeded,
     UnknownElement,
 )
-from .lattice import Edge, Lattice, join_irreducibles, set_family_tables
+from .freedist import _mask_indices
+from .lattice import Edge, Lattice, _row_blocks, join_irreducibles, set_family_tables
 from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
-    _mask_indices,
-    _masks_to_rows,
+    _canonical_rows,
+    _pack_rows,
+    _set_keys,
+    _unpack_rows,
     is_isomorphic,
     order_ideal_masks,
 )
@@ -76,28 +80,23 @@ def ideals_lattice(
     labeled x.  Default element names are brace sets like ``{a,b}``.
     """
     namer = namer or brace_name
-    masks = order_ideal_masks(p, cap)
-    m = len(masks)
-    width = max(1, -(-p.n // 64))
-    words = np.frombuffer(
-        b"".join(mask.to_bytes(8 * width, "little") for mask in masks), dtype="<u8"
-    ).reshape(m, width)
-    leq, meet, join = set_family_tables(words)
-    index = {mask: i for i, mask in enumerate(masks)}
-    names = [namer(tuple(p.names[i] for i in _mask_indices(mask))) for mask in masks]
-    lattice = Lattice(
-        Poset(names, leq), meet, join, index[0], index[masks[-1]],
-        verify=m <= 600,
-    )
+    rows = order_ideal_masks(p, cap)
+    m = len(rows)
+    leq, meet, join = set_family_tables(rows)
+    inside = _unpack_rows(rows, p.n)
+    names = [namer(tuple(compress(p.names, row))) for row in inside.tolist()]
+    lattice = Lattice(Poset(names, leq), meet, join, 0, m - 1, verify=m <= 600)
 
-    down = p.down_masks
-    labels: dict[Edge, str] = {}
-    for i, mask in enumerate(masks):
-        for x in range(p.n):
-            bit = 1 << x
-            if mask & bit or down[x] & ~bit & ~mask:
-                continue
-            labels[(names[i], names[index[mask | bit]])] = p.names[x]
+    # I ∪ down(x) for every I and x (the first row holding x is down(x));
+    # it covers I, adding x alone, exactly when it is one element larger
+    size = inside.sum(axis=1)
+    grown = join[:, inside.argmax(axis=0)]
+    lower, added = np.nonzero(size[grown] == size[:, None] + 1)
+    upper = grown[lower, added]
+    labels: dict[Edge, str] = {
+        (names[i], names[j]): p.names[x]
+        for i, j, x in zip(lower.tolist(), upper.tolist(), added.tolist())
+    }
     return LabeledLattice(lattice, labels)
 
 
@@ -208,18 +207,26 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
 
     Start from J of the minimal antichain; repeatedly adjoin a join
     irreducible for the canonically smallest remaining minimal element,
-    complete the Boolean algebra of joins above its base, then sweep in
-    any further missing joins.  The final snapshot is exactly J(P).
+    then complete the Boolean algebra of joins above its base.  The final
+    snapshot is exactly J(P).
+
+    The nodes are closed under union before each join irreducible I is
+    adjoined, so every new union is I ∪ w for a node w above I's base
+    (I ∪ u = I ∪ (u ∪ base)).  Each such w ≠ base holds a cover c of the
+    base; when I ∪ c is a node, it is an old one (it holds c, I does not),
+    and so is I ∪ w = (I ∪ c) ∪ w.  Closing from the covers of the base is
+    therefore enough: no further sweep for missing joins is needed.
     """
-    down = p.down_masks
-    minimal = set(p.minimal_indices)
+    n = p.n
+    down = _pack_rows(p.leq.T)
+    strict = p.leq.T & ~np.eye(n, dtype=bool)  # strict[x]: the elements below x
+    processed = ~strict.any(axis=1)  # the minimal elements
+    minimal = np.flatnonzero(processed)
     steps: list[TraceStep] = []
 
-    nodes: set[int] = set()
-    subsets = [0]
-    for i in sorted(minimal):
-        subsets += [s | (1 << i) for s in subsets]
-    nodes.update(subsets)
+    subsets = np.zeros((2 ** len(minimal), n), dtype=bool)
+    subsets[:, minimal] = np.arange(len(subsets))[:, None] >> np.arange(len(minimal)) & 1
+    nodes = _canonical_rows(_pack_rows(subsets))
 
     def snapshot(description):
         if len(nodes) > cap:
@@ -231,80 +238,73 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
         f"its down-sets form the Boolean lattice B_{len(minimal)}"
     )
 
-    processed = set(minimal)
-    while len(processed) < p.n:
-        x = min(
-            i
-            for i in range(p.n)
-            if i not in processed
-            and all(j in processed for j in _mask_indices(down[i] & ~(1 << i)))
-        )
-        principal = down[x]
-        base = principal & ~(1 << x)
-        if base not in nodes:
+    while not processed.all():
+        x = int(np.flatnonzero(~processed & ~(strict & ~processed).any(axis=1))[0])
+        base = _pack_rows(strict[x : x + 1])
+        if not (nodes == base).all(axis=1).any():
             raise InvariantViolation("base of the new join irreducible is missing")
-        nodes.add(principal)
+        nodes = _canonical_rows(np.concatenate([nodes, down[x : x + 1]]))
         snapshot(
             f"adjoin join irreducible for {p.names[x]!r} covering "
-            f"{_node_name(p, base)}"
+            f"{_node_name(p, strict[x])}"
         )
 
-        covers = _covers_of(nodes, base)
-        added = _close_under_union(nodes, covers)
-        if added:
+        closed = _close_under_union(nodes, _covers_of(nodes, base))
+        if closed is not None:
+            nodes = closed
             snapshot(
-                f"complete the Boolean algebra of joins above {_node_name(p, base)}"
+                f"complete the Boolean algebra of joins above {_node_name(p, strict[x])}"
             )
-        while True:
-            added = _close_under_union(nodes, list(nodes))
-            if not added:
-                break
-            snapshot("add missing joins")
-        processed.add(x)
+        processed[x] = True
 
-    expected = set(order_ideal_masks(p, cap))
-    if nodes != expected:
+    if not np.array_equal(nodes, order_ideal_masks(p, cap)):
         raise InvariantViolation("construction did not converge to J(P)")
     return ConstructionTrace(tuple(steps))
 
 
-def _covers_of(nodes: set[int], base: int) -> list[int]:
-    above = [u for u in nodes if u != base and base & ~u == 0]
-    return [u for u in above if not any(v != u and v & ~u == 0 for v in above)]
+def _covers_of(nodes: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The minimal rows of ``nodes`` strictly above the row ``base``."""
+    above = nodes[((nodes & base) == base).all(axis=1) & (nodes != base).any(axis=1)]
+    inside = ((above[None, :, :] & ~above[:, None, :]) == 0).all(axis=2)  # [u, v]: v ⊆ u
+    return above[inside.sum(axis=1) == 1]
 
 
-def _close_under_union(nodes: set[int], seeds: list[int]) -> bool:
-    added = False
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for i, u in enumerate(frontier):
-            for v in frontier[i + 1:]:
-                w = u | v
-                if w not in nodes:
-                    nodes.add(w)
-                    fresh.append(w)
-                    added = True
-        if not fresh:
-            break
-        frontier = sorted(nodes)
-    return added
+def _close_under_union(nodes: np.ndarray, seeds: np.ndarray) -> Optional[np.ndarray]:
+    """``nodes`` closed under union, or None when every union of two
+    ``seeds`` rows is already a node.  After the first round every node is
+    a seed; unions are formed one block of seed rows at a time."""
+    closed = None
+    while True:
+        known = np.sort(_set_keys(nodes))
+        fresh = [seeds[:0]]
+        for block in _row_blocks(len(seeds), seeds.size):
+            unions = (seeds[block, None, :] | seeds[None, :, :]).reshape(-1, seeds.shape[1])
+            keys = _set_keys(unions)
+            found = known[np.minimum(np.searchsorted(known, keys), len(known) - 1)]
+            fresh.append(unions[found != keys])
+        fresh = np.concatenate(fresh)
+        if not len(fresh):
+            return closed
+        nodes = seeds = closed = _canonical_rows(np.concatenate([nodes, fresh]))
 
 
-def _node_name(p: Poset, mask: int) -> str:
-    return brace_name(tuple(p.names[i] for i in _mask_indices(mask)))
+def _node_name(p: Poset, members: np.ndarray) -> str:
+    return brace_name(tuple(compress(p.names, members)))
 
 
-def _snapshot(p: Poset, nodes: set[int], description: str) -> TraceStep:
-    masks = sorted(nodes, key=lambda m: (bin(m).count("1"), _mask_indices(m)))
-    names = [_node_name(p, mask) for mask in masks]
-    rows = _masks_to_rows(masks, p.n)
-    snap = Poset(names, (rows[:, None, :] <= rows[None, :, :]).all(axis=2))  # subsets
-    labels: dict[Edge, str] = {}
-    for i, j in snap.cover_pairs:
-        diff = masks[j] & ~masks[i]
-        if bin(diff).count("1") == 1:
-            labels[(names[i], names[j])] = p.names[diff.bit_length() - 1]
+def _snapshot(p: Poset, nodes: np.ndarray, description: str) -> TraceStep:
+    """The nodes (packed rows in canonical order) under inclusion; a cover
+    edge that adds one element is labeled by it."""
+    bits = _unpack_rows(nodes, p.n)
+    names = [_node_name(p, row) for row in bits.tolist()]
+    snap = Poset(names, ((nodes[:, None, :] & ~nodes[None, :, :]) == 0).all(axis=2))
+    lower, upper = np.array(snap.cover_pairs, dtype=np.intp).reshape(-1, 2).T
+    added = bits[upper] & ~bits[lower]
+    one = np.flatnonzero(added.sum(axis=1) == 1)
+    labels: dict[Edge, str] = {
+        (names[lower[k]], names[upper[k]]): p.names[x]
+        for k, x in zip(one.tolist(), np.nonzero(added[one])[1].tolist())
+    }
     return TraceStep(description, snap, labels)
 
 

@@ -26,10 +26,20 @@ from .errors import (
     UnknownVariable,
 )
 from .lattice import Lattice, set_family_tables
-from .poset import Poset, _mask_indices
+from .poset import Poset
 
 GENERATE_CAP = 5
 COUNT_CAP = 6
+
+
+def _mask_indices(m: int) -> tuple[int, ...]:
+    """The set bits of a clause mask, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)

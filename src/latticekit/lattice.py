@@ -17,7 +17,7 @@ from .errors import (
     NotRestricted,
     SizeLimitExceeded,
 )
-from .poset import Poset, _mask_indices, dual_poset
+from .poset import Poset, _pack_rows, _set_keys, dual_poset
 
 VERIFY_LIMIT = 2000  # exhaustive table verification cap
 RANK_IRREDUCIBLE_CAP = 20
@@ -195,20 +195,16 @@ class Lattice:
         before meets) whose common upper bounds are not up(join[a, b]) or
         whose common lower bounds are not down(meet[a, b]); return when
         there is none.  O(n³/64) word operations."""
-        up, down = self.poset.up_masks, self.poset.down_masks
-        checks = (
-            (np.packbits(self.leq, axis=1), self.join, up, down, "join"),
-            (np.packbits(self.leq.T, axis=1), self.meet, down, up, "meet"),
-        )
+        checks = ((self.leq, self.join, "join"), (self.leq.T, self.meet, "meet"))
+        checks = [(_pack_rows(bounds), bounds, table, kind) for bounds, table, kind in checks]
         for a in range(self.n):
-            for rows, table, bounds, opposite, kind in checks:
+            for rows, bounds, table, kind in checks:
                 wrong = ((rows[a] & rows) != rows[table[a]]).any(axis=1)
                 if wrong.any():
                     b = int(np.argmax(wrong))
-                    extremal = _extremal(bounds[a] & bounds[b], opposite)
                     raise NotALattice(
                         (self.names[a], self.names[b]),
-                        [self.names[i] for i in extremal],
+                        [self.names[i] for i in _extremal(bounds[a] & bounds[b], bounds)],
                         kind,
                     )
 
@@ -274,11 +270,10 @@ def _check_table_size(n: int) -> None:
         )
 
 
-# first set bit of a byte, counted from the most significant one (packbits
-# order); an empty byte reads as 0, and the candidate it yields then fails
-# the bound check
-_FIRST_BIT = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
-_FIRST_BIT[0] = 0
+# lowest set bit of a byte; an empty byte reads as 0, and the candidate it
+# yields then fails the bound check
+_LOW_BIT = np.array([(v & -v).bit_length() - 1 for v in range(256)], dtype=np.intp)
+_LOW_BIT[0] = 0
 
 
 def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +287,8 @@ def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np
     fails for a pair (a, b) with b >= a, or with b < a in a's row block.
     """
     n = len(order)
-    packed = np.packbits(bounds[:, order], axis=1)
-    words = -(-packed.shape[1] // 8)
-    rows = np.zeros((n, 8 * words), dtype=np.uint8)
-    rows[:, : packed.shape[1]] = packed
-    rows = rows.view(np.uint64)  # bytes keep packbits order in memory
-    block = max(1, TABLE_BLOCK_CELLS // (n * words))
+    rows = _pack_rows(bounds[:, order])
+    block = max(1, TABLE_BLOCK_CELLS // (n * rows.shape[1]))
     table = np.empty((n, n), dtype=np.int16)
     bad = np.zeros(n, dtype=bool)
     for start in range(0, n, block):
@@ -306,7 +297,7 @@ def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np
         word = (common != 0).argmax(axis=2)[..., None]
         first = np.take_along_axis(common, word, axis=2).view(np.uint8)
         byte = (first != 0).argmax(axis=2)[..., None]
-        bit = _FIRST_BIT[np.take_along_axis(first, byte, axis=2)]
+        bit = _LOW_BIT[np.take_along_axis(first, byte, axis=2)]
         candidate = order[(64 * word + 8 * byte + bit)[..., 0]]
         least = (rows[candidate] == common).all(axis=2)
         table[start:stop, start:] = candidate
@@ -318,10 +309,9 @@ def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np
 def _raise_first_failure(p: Poset, a: int) -> None:
     """Raise the NotALattice of the first failing pair in row ``a``, walking
     b upward from a with the join checked before the meet."""
-    up, down = p.up_masks, p.down_masks
     for b in range(a, p.n):
-        for bounds, opposite, kind in ((up, down, "join"), (down, up, "meet")):
-            least = _extremal(bounds[a] & bounds[b], opposite)
+        for bounds, kind in ((p.leq, "join"), (p.leq.T, "meet")):
+            least = _extremal(bounds[a] & bounds[b], bounds)
             if len(least) != 1:
                 raise NotALattice(
                     (p.names[a], p.names[b]), [p.names[i] for i in least], kind
@@ -329,11 +319,13 @@ def _raise_first_failure(p: Poset, a: int) -> None:
     raise RuntimeError(f"row {a} was flagged but all its bounds are unique")
 
 
-def _extremal(bounds: int, opposite: tuple[int, ...]) -> list[int]:
-    """The members i of the bitmask ``bounds`` whose ``opposite[i]`` holds
-    no other member: the minimal ones for down-set masks, the maximal ones
-    for up-set masks."""
-    return [i for i in _mask_indices(bounds) if opposite[i] & bounds & ~(1 << i) == 0]
+def _extremal(common: np.ndarray, bounds: np.ndarray) -> list[int]:
+    """The members i of the boolean row ``common`` in no other member's
+    row of ``bounds``: the minimal ones when rows are up-sets, the maximal
+    ones when they are down-sets."""
+    members = np.flatnonzero(common)
+    inside = bounds[np.ix_(members, members)] & ~np.eye(len(members), dtype=bool)
+    return members[~inside.any(axis=0)].tolist()
 
 
 def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -380,13 +372,6 @@ def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return leq, meet, join
 
 
-def _set_keys(words: np.ndarray) -> np.ndarray:
-    """One sortable key per set: the word itself, or the words' bytes."""
-    width = words.shape[-1]
-    dtype = np.uint64 if width == 1 else np.dtype(f"S{8 * width}")
-    return np.ascontiguousarray(words).view(dtype)[..., 0]
-
-
 # -- grading -----------------------------------------------------------------
 
 
@@ -408,19 +393,24 @@ class GradeResult:
 
 
 def grade(l: Lattice) -> GradeResult:
-    """Degree function of a graded lattice, or a two-chain witness."""
-    p = l.poset
-    rho = [None] * l.n
-    rho[l.bottom_index] = 0
-    for i in p.topo_order:
-        if i == l.bottom_index:
-            continue
-        lows = p.lower_covers(i)
-        levels = {rho[j] for j in lows}
-        if len(levels) != 1 or None in levels:
-            return GradeResult(None, _unequal_chain_witness(l))
-        rho[i] = levels.pop() + 1
-    return GradeResult({l.names[i]: rho[i] for i in range(l.n)}, None)
+    """Degree function of a graded lattice, or a two-chain witness.
+
+    Levels are placed upward from the bottom, one array pass over the cover
+    matrix per level.  The lattice is graded exactly when every element is
+    placed and no element covers elements of two levels.
+    """
+    covers = l.poset.covers_matrix
+    rho = np.full(l.n, -1)
+    pending = covers.sum(axis=0)  # lower covers not yet placed
+    level, k = np.array([l.bottom_index]), 0
+    while level.size and not pending[level].any():
+        rho[level] = k
+        placed = covers[level].sum(axis=0)  # lower covers each element has on this level
+        pending -= placed
+        level, k = placed.nonzero()[0], k + 1
+    if level.size or (rho < 0).any():
+        return GradeResult(None, _unequal_chain_witness(l))
+    return GradeResult(dict(zip(l.names, rho.tolist())), None)
 
 
 def _unequal_chain_witness(l: Lattice) -> tuple[list[str], list[str]]:
@@ -464,18 +454,15 @@ def join_irreducibles(l: Lattice, include_bottom: bool = False) -> JoinIrreducib
     excluded; with True it is included, matching the reading under which
     the glb of the whole lattice counts as join irreducible.
     """
-    out, lower = [], {}
-    for i in range(l.n):
-        lows = l.poset.lower_covers(i)
-        if i == l.bottom_index:
-            if include_bottom:
-                out.append(l.names[i])
-                lower[l.names[i]] = None
-            continue
-        if len(lows) == 1:
-            out.append(l.names[i])
-            lower[l.names[i]] = l.names[lows[0]]
-    return JoinIrreducibles(tuple(out), lower)
+    covers = l.poset.covers_matrix
+    single = covers.sum(axis=0) == 1
+    single[l.bottom_index] = include_bottom
+    irr = np.flatnonzero(single).tolist()
+    below = covers[:, irr].argmax(axis=0).tolist()  # each one's lower cover
+    lower = {
+        l.names[i]: None if i == l.bottom_index else l.names[j] for i, j in zip(irr, below)
+    }
+    return JoinIrreducibles(tuple(l.names[i] for i in irr), lower)
 
 
 # -- sublattices and rank ------------------------------------------------------

@@ -1,15 +1,18 @@
 """Finite posets built from cover relations.
 
 Element names are opaque strings; every algorithm works on dense integer
-indices, with the order relation held as a boolean matrix plus one Python
-bitmask per element (word-parallel set algebra for closures, ideals and
-isomorphism search).
+indices, with the order relation held as a boolean matrix.  Sets of
+elements (down-sets, up-sets, order ideals) are packed rows: an (m, words)
+uint64 array with element j at bit j % 64 of little-endian word j // 64,
+so closures, ideal enumeration and bound searches are word-parallel array
+steps.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -99,16 +102,6 @@ class Poset:
     def cover_names(self) -> list[tuple[str, str]]:
         return [(self.names[a], self.names[b]) for a, b in self.cover_pairs]
 
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """Bitmask per element i of { j : j <= i }."""
-        return tuple(_rows_to_masks(self.leq.T))
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """Bitmask per element i of { j : i <= j }."""
-        return tuple(_rows_to_masks(self.leq))
-
     def lower_covers(self, i: int) -> list[int]:
         return np.nonzero(self.covers_matrix[:, i])[0].tolist()
 
@@ -128,8 +121,7 @@ class Poset:
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """A linear extension: below-counts ascending, index as tie-break."""
-        key = self.leq.sum(axis=0)
-        return tuple(sorted(range(self.n), key=lambda i: (int(key[i]), i)))
+        return tuple(np.argsort(self.leq.sum(axis=0), kind="stable").tolist())
 
     def restrict(self, indices: Sequence[int]) -> "Poset":
         """Induced subposet on the given indices (order of ``indices`` kept)."""
@@ -138,18 +130,43 @@ class Poset:
         return Poset([self.names[i] for i in idx], sub)
 
 
-def _rows_to_masks(matrix: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as a Python int with bit j = matrix[i, j]."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+# -- packed rows -------------------------------------------------------------
 
 
-def _masks_to_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """The inverse of :func:`_rows_to_masks` for masks below ``1 << n``."""
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Boolean (m, n) rows as an (m, words) uint64 array, words >= 1: bit j
+    of a row is bit j % 64 of its little-endian word j // 64."""
+    m, n = bits.shape
+    raw = np.zeros((m, 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    raw[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return raw.view("<u8")
+
+
+def _unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of :func:`_pack_rows`: packed rows as boolean (m, n) rows."""
+    raw = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _set_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per set: the word itself, or the words' bytes."""
+    width = words.shape[-1]
+    dtype = np.uint64 if width == 1 else np.dtype(f"S{8 * width}")
+    return np.ascontiguousarray(words).view(dtype)[..., 0]
+
+
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct packed rows in (size, index tuple) order.
+
+    One sort on a bytes key: the size, then the complement's bits, element
+    0 first (among sets of one size, ascending index tuples are descending
+    bit strings).  Padding bits are clear in every row and change nothing.
+    """
+    bits = _unpack_rows(rows, 64 * rows.shape[1])
+    size = bits.sum(axis=1).astype(">u4").view(np.uint8).reshape(-1, 4)
+    key = np.concatenate([size, np.packbits(~bits, axis=1)], axis=1)
+    _, first = np.unique(key.view(f"S{key.shape[1]}")[:, 0], return_index=True)
+    return rows[first]
 
 
 # -- construction ---------------------------------------------------------
@@ -182,16 +199,7 @@ def build_poset(
             raise UnknownElement(f"unknown element {b!r} in cover pair")
         pairs.append((index[a], index[b]))
 
-    order = _topological_order(n, pairs, names)
-    up = [1 << i for i in range(n)]
-    succ = [[] for _ in range(n)]
-    for a, b in pairs:
-        succ[a].append(b)
-    for i in reversed(order):
-        for j in succ[i]:
-            up[i] |= up[j]
-
-    poset = Poset(names, _masks_to_rows(up, n))
+    poset = Poset(names, _closure(n, pairs, names).T)
 
     if warn_redundant:
         reduction = set(poset.cover_pairs)
@@ -205,30 +213,36 @@ def build_poset(
     return poset
 
 
-def _topological_order(n, pairs, names):
+def _closure(n, pairs, names) -> np.ndarray:
+    """Boolean down-set rows of the reflexive-transitive closure of the
+    (lower, upper) index pairs.
+
+    Packed rows are closed one level at a time, sources first (Kahn's
+    order): one array OR hands each level's down-sets to the elements they
+    cover.  Raises :class:`CycleDetected` on a self-pair or a cycle.
+    """
     succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    seen = set()
-    for a, b in pairs:
+    pending = [0] * n  # lower covers not yet closed
+    for a, b in dict.fromkeys(pairs):
         if a == b:
             raise CycleDetected([names[a], names[a]])
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
         succ[a].append(b)
-        indeg[b] += 1
-    order, queue = [], [i for i in range(n) if indeg[i] == 0]
-    while queue:
-        i = queue.pop()
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if len(order) < n:
-        cycle = _find_cycle(n, succ, indeg)
+        pending[b] += 1
+    down = _pack_rows(np.eye(n, dtype=bool))
+    level = [i for i in range(n) if pending[i] == 0]
+    while level:
+        edges = [(a, b) for a in level for b in succ[a]]
+        lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        np.bitwise_or.at(down, upper, down[lower])
+        level = []
+        for b in upper.tolist():
+            pending[b] -= 1
+            if pending[b] == 0:
+                level.append(b)
+    if any(pending):
+        cycle = _find_cycle(n, succ, pending)
         raise CycleDetected([names[i] for i in cycle])
-    return order
+    return _unpack_rows(down, n)
 
 
 def _find_cycle(n, succ, indeg):
@@ -258,52 +272,37 @@ def up_set(p: Poset, x: str) -> frozenset[str]:
     return frozenset(p.names[j] for j in np.nonzero(p.leq[i, :])[0])
 
 
-def order_ideal_masks(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[int]:
-    """All down-sets of ``p`` as element bitmasks, deterministically ordered.
+def order_ideal_masks(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> np.ndarray:
+    """All down-sets of ``p`` as packed rows (see :func:`_pack_rows`),
+    ordered by (size, index tuple).
 
-    Enumeration walks a linear extension: at each element either include it,
-    or exclude it and block everything above it.  Result is sorted by
-    (size, index tuple).  Raises :class:`SizeLimitExceeded` past ``cap``.
+    Built one element t of a linear extension at a time: each down-set
+    found so far that holds t's strict down-set gives one more, with t
+    added.  Each is made once, and one sort orders them all.  Raises
+    :class:`SizeLimitExceeded` past ``cap``.
     """
-    order = p.topo_order
-    up = p.up_masks
-    out = []
     n = p.n
-    # iterative DFS; frame = (position, ideal mask, blocked mask)
-    stack = [(0, 0, 0)]
-    while stack:
-        pos, cur, blocked = stack.pop()
-        while pos < n and (blocked >> order[pos]) & 1:
-            pos += 1
-        if pos == n:
-            out.append(cur)
-            if len(out) > cap:
-                raise SizeLimitExceeded(
-                    f"more than {cap} order ideals; raise the cap to proceed"
-                )
-            continue
-        t = order[pos]
-        stack.append((pos + 1, cur, blocked | up[t]))
-        stack.append((pos + 1, cur | (1 << t), blocked))
-    out.sort(key=lambda m: (bin(m).count("1"), _mask_indices(m)))
-    return out
+    down = _pack_rows(p.leq.T)
+    strict = _pack_rows(p.leq.T & ~np.eye(n, dtype=bool))
+    rows = _pack_rows(np.zeros((1, n), dtype=bool))
+    for t in p.topo_order:
+        grow = ((rows & strict[t]) == strict[t]).all(axis=1)
+        rows = np.concatenate([rows, rows[grow] | down[t]])
+        if len(rows) > cap:
+            break
+    if len(rows) > cap:
+        raise SizeLimitExceeded(
+            f"more than {cap} order ideals; raise the cap to proceed"
+        )
+    return _canonical_rows(rows)
 
 
 def order_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[frozenset[str]]:
     """All down-sets of ``p`` as name sets (includes the empty and full set)."""
     return [
-        frozenset(p.names[i] for i in _mask_indices(m))
-        for m in order_ideal_masks(p, cap)
+        frozenset(compress(p.names, row))
+        for row in _unpack_rows(order_ideal_masks(p, cap), p.n).tolist()
     ]
-
-
-def _mask_indices(m: int) -> tuple[int, ...]:
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return tuple(out)
 
 
 def dual_poset(p: Poset) -> Poset:

@@ -252,13 +252,13 @@ def reconstruct(
     p = irreducible_order(s, infer=infer)
     top_of = {d.name: d.top for d in s.irreducibles}
 
-    up_masks = p.up_masks
+    leq = p.leq.tolist()
 
     def namer(members: tuple[str, ...]) -> str:
-        idx = [p.index(x) for x in members]
-        mask = sum(1 << i for i in idx)
-        maximal = [i for i in idx if up_masks[i] & mask & ~(1 << i) == 0]
-        return _join_name(tuple(p.names[i] for i in sorted(maximal)))
+        idx = sorted(p.index(x) for x in members)
+        # i is maximal when the only member above it is i itself
+        maximal = [i for i in idx if sum(map(leq[i].__getitem__, idx)) == 1]
+        return _join_name(tuple(p.names[i] for i in maximal))
 
     raw = ideals_lattice(p, cap=cap, namer=namer)
     labels = {edge: top_of[irr] for edge, irr in raw.edge_labels.items()}

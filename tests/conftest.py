@@ -40,6 +40,124 @@ def reference_set_tables(sets):
     return leq, meet, join
 
 
+def mask_indices(m):
+    """The set bits of a Python int, lowest first."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
+def row_ints(rows):
+    """Packed uint64 rows (little-endian words) as Python ints."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def reference_order_ideal_masks(p, cap):
+    """Depth-first down-set enumeration over Python int masks: along a
+    linear extension, include each element or exclude it and block its
+    up-set; sorted by (size, index tuple)."""
+    order, n = p.topo_order, p.n
+    up = [sum(1 << j for j in range(n) if p.leq[i, j]) for i in range(n)]
+    out, stack = [], [(0, 0, 0)]
+    while stack:
+        pos, cur, blocked = stack.pop()
+        while pos < n and (blocked >> order[pos]) & 1:
+            pos += 1
+        if pos == n:
+            out.append(cur)
+            if len(out) > cap:
+                raise lk.SizeLimitExceeded(
+                    f"more than {cap} order ideals; raise the cap to proceed"
+                )
+            continue
+        t = order[pos]
+        stack.append((pos + 1, cur, blocked | up[t]))
+        stack.append((pos + 1, cur | (1 << t), blocked))
+    out.sort(key=lambda m: (bin(m).count("1"), mask_indices(m)))
+    return out
+
+
+def reference_ideal_labels(p, masks, names):
+    """The cover labels of J(P) by a loop over every (down-set, element)
+    pair: I < I + {x} is labeled x when x is outside I and its strict
+    down-set is inside."""
+    down = [sum(1 << j for j in range(p.n) if p.leq[j, i]) for i in range(p.n)]
+    index = {mask: i for i, mask in enumerate(masks)}
+    labels = {}
+    for i, mask in enumerate(masks):
+        for x in range(p.n):
+            bit = 1 << x
+            if mask & bit or down[x] & ~bit & ~mask:
+                continue
+            labels[(names[i], names[index[mask | bit]])] = p.names[x]
+    return labels
+
+
+def reference_stanley_steps(p, cap):
+    """Stanley's gluing construction over a Python set of int masks, as
+    (description, names, leq, labels) per snapshot."""
+    down = [sum(1 << j for j in range(p.n) if p.leq[j, i]) for i in range(p.n)]
+    minimal = set(p.minimal_indices)
+    steps = []
+
+    def name(mask):
+        return "{" + ",".join(p.names[i] for i in mask_indices(mask)) + "}"
+
+    def snapshot(description):
+        if len(nodes) > cap:
+            raise lk.SizeLimitExceeded(f"construction grew past {cap} nodes")
+        masks = sorted(nodes, key=lambda m: (bin(m).count("1"), mask_indices(m)))
+        names = [name(m) for m in masks]
+        leq = np.array([[a & ~b == 0 for b in masks] for a in masks], dtype=bool).reshape(
+            len(masks), len(masks)
+        )
+        labels = {}
+        for i, j in lk.Poset(names, leq).cover_pairs:
+            diff = masks[j] & ~masks[i]
+            if bin(diff).count("1") == 1:
+                labels[(names[i], names[j])] = p.names[diff.bit_length() - 1]
+        steps.append((description, tuple(names), leq, labels))
+
+    def close_under_union(seeds):
+        added, frontier = False, list(seeds)
+        while frontier:
+            fresh = []
+            for i, u in enumerate(frontier):
+                for v in frontier[i + 1:]:
+                    if u | v not in nodes:
+                        nodes.add(u | v)
+                        fresh.append(u | v)
+                        added = True
+            if not fresh:
+                break
+            frontier = sorted(nodes)
+        return added
+
+    nodes = {0}
+    for i in sorted(minimal):
+        nodes |= {s | (1 << i) for s in nodes}
+    snapshot(
+        f"start from the minimal antichain ({len(minimal)} elements); "
+        f"its down-sets form the Boolean lattice B_{len(minimal)}"
+    )
+    processed = set(minimal)
+    while len(processed) < p.n:
+        x = min(
+            i for i in range(p.n)
+            if i not in processed and all(j in processed for j in mask_indices(down[i] & ~(1 << i)))
+        )
+        base = down[x] & ~(1 << x)
+        assert base in nodes
+        nodes.add(down[x])
+        snapshot(f"adjoin join irreducible for {p.names[x]!r} covering {name(base)}")
+        above = [u for u in nodes if u != base and base & ~u == 0]
+        covers = [u for u in above if not any(v != u and v & ~u == 0 for v in above)]
+        if close_under_union(covers):
+            snapshot(f"complete the Boolean algebra of joins above {name(base)}")
+        while close_under_union(list(nodes)):
+            snapshot("add missing joins")
+        processed.add(x)
+    return steps
+
+
 def reference_verify(poset, meet, join):
     """Pair-loop reference for ``Lattice._verify`` on in-range tables:
     bounds (joins, then meets), then for a ascending the first b whose

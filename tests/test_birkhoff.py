@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticekit as lk
@@ -13,7 +13,11 @@ from latticekit.poset import order_ideal_masks
 from conftest import (
     BLOCK_CELLS,
     distributive_fixture_lattices,
+    reference_ideal_labels,
+    reference_order_ideal_masks,
     reference_set_tables,
+    reference_stanley_steps,
+    row_ints,
     table_blocks,
 )
 
@@ -65,7 +69,8 @@ def assert_matches_reference(p, cells):
     with table_blocks(cells):
         l = lk.ideals_lattice(p).lattice
     # the reference runs the pair loop over the same down-set order
-    leq, meet, join = reference_set_tables(order_ideal_masks(p))
+    masks = [int.from_bytes(row.tobytes(), "little") for row in order_ideal_masks(p)]
+    leq, meet, join = reference_set_tables(masks)
     assert np.array_equal(l.leq, leq)
     assert np.array_equal(l.meet, meet) and np.array_equal(l.join, join)
     assert (l.bottom_index, l.top_index) == (0, len(leq) - 1)
@@ -98,6 +103,93 @@ class TestIdealsTablesMatchPairLoop:
         p = lk.build_poset(names, covers)
         assert lk.ideals_lattice(p).n == 71 * 4
         assert_matches_reference(p, cells)
+
+
+@st.composite
+def long_or_short_posets(draw):
+    """A random poset on at most 8 points, or one on at most 3 points
+    beside a 65- to 70-chain (two words per set), with random covers
+    between any of them; element names in a random order."""
+    chain = draw(st.sampled_from([0, 0, 65, 70]))
+    k = draw(st.integers(min_value=0, max_value=3 if chain else 8))
+    n = chain + k
+    covers = {(i, i + 1) for i in range(chain - 1)}
+    covers |= set(
+        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * k))
+        if n else []
+    )
+    names = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    pairs = [(f"e{a}", f"e{b}") for a, b in covers if a < b]
+    return lk.build_poset(names, pairs, warn_redundant=False)
+
+
+class TestPackedRowsMatchIntMasks:
+    """Level-by-level enumeration and the array Stanley construction against
+    the depth-first int-mask enumeration, the per-pair label loop and the
+    int-mask construction they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_or_short_posets())
+    @example(lk.build_poset([], []))
+    def test_ideals(self, p):
+        masks = reference_order_ideal_masks(p, lk.poset.DEFAULT_IDEAL_CAP)
+        rows = order_ideal_masks(p)
+        assert rows.dtype == np.uint64 and rows.shape == (len(masks), max(1, -(-p.n // 64)))
+        assert row_ints(rows) == masks
+        assert lk.order_ideals(p) == [
+            frozenset(p.names[i] for i in range(p.n) if m >> i & 1) for m in masks
+        ]
+        ll = lk.ideals_lattice(p)
+        names = tuple(
+            "{" + ",".join(p.names[i] for i in range(p.n) if m >> i & 1) + "}" for m in masks
+        )
+        assert ll.names == names
+        leq, meet, join = reference_set_tables(masks)
+        assert np.array_equal(ll.lattice.leq, leq)
+        assert np.array_equal(ll.lattice.meet, meet) and np.array_equal(ll.lattice.join, join)
+        assert list(ll.edge_labels.items()) == list(reference_ideal_labels(p, masks, names).items())
+
+    @settings(max_examples=30, deadline=None)
+    @given(long_or_short_posets())
+    @example(lk.build_poset([], []))
+    def test_cap(self, p):
+        m = len(reference_order_ideal_masks(p, lk.poset.DEFAULT_IDEAL_CAP))
+        assert len(order_ideal_masks(p, cap=m)) == m
+        with pytest.raises(lk.SizeLimitExceeded) as expected:
+            reference_order_ideal_masks(p, m - 1)
+        with pytest.raises(lk.SizeLimitExceeded) as got:
+            order_ideal_masks(p, cap=m - 1)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(lk.SizeLimitExceeded, match=str(m - 1)):
+            lk.ideals_lattice(p, cap=m - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_or_short_posets().filter(lambda p: p.n <= 8))
+    @example(lk.build_poset([], []))
+    def test_stanley_steps(self, p):
+        assert_stanley_matches_reference(p)
+
+    def test_stanley_steps_two_words(self):
+        # a 70-chain plus two points, one of them above c3: sets need two words
+        names = [f"c{i}" for i in range(70)] + ["u", "v"]
+        covers = [(f"c{i}", f"c{i + 1}") for i in range(69)] + [("c3", "u")]
+        assert_stanley_matches_reference(lk.build_poset(names, covers))
+
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    def test_stanley_row_blocks(self, cells):
+        with table_blocks(cells):
+            assert_stanley_matches_reference(catalog.boolean_poset(3))
+
+
+def assert_stanley_matches_reference(p):
+    expected = reference_stanley_steps(p, lk.poset.DEFAULT_IDEAL_CAP)
+    steps = lk.stanley_construct(p).steps
+    assert len(steps) == len(expected)
+    for step, (description, names, leq, labels) in zip(steps, expected):
+        assert step.description == description
+        assert step.poset.names == names
+        assert np.array_equal(step.poset.leq, leq)
+        assert list(step.labels.items()) == list(labels.items())
 
 
 class TestIrreduciblePoset:
@@ -223,7 +315,7 @@ class TestResultGuards:
     def test_stanley_must_converge(self, monkeypatch, covers, message):
         names = sorted({x for pair in covers for x in pair} | {"b"})
         p = lk.build_poset(names, covers)
-        monkeypatch.setattr(birkhoff, "_close_under_union", lambda nodes, seeds: False)
+        monkeypatch.setattr(birkhoff, "_close_under_union", lambda nodes, seeds: None)
         with pytest.raises(lk.InvariantViolation, match=message):
             lk.stanley_construct(p)
 

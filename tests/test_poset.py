@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
-from latticekit.poset import RedundantCoverWarning
+from latticekit.poset import RedundantCoverWarning, _pack_rows
+
+from conftest import row_ints
 
 PENTAGON_COVERS = [("0", "a"), ("a", "1"), ("0", "c"), ("c", "b"), ("b", "1")]
 
@@ -262,5 +264,7 @@ def test_closure_and_masks_match_bruteforce(case):
     for i, x in enumerate(names):
         up = reachable_up(covers, x)
         assert {names[j] for j in np.nonzero(p.leq[i])[0]} == up
-        assert p.up_masks[i] == sum(1 << names.index(y) for y in up)
-        assert p.down_masks[i] == sum(1 << j for j in range(len(names)) if p.leq[j, i])
+        assert row_ints(_pack_rows(p.leq))[i] == sum(1 << names.index(y) for y in up)
+        assert row_ints(_pack_rows(p.leq.T))[i] == sum(
+            1 << j for j in range(len(names)) if p.leq[j, i]
+        )
