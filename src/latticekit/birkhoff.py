@@ -3,7 +3,8 @@
 J(P) construction (down-sets under union/intersection, cover edges labeled
 by the element they add), its inverse on join irreducibles, round-trip
 verification, and the incremental gluing construction that grows J(P) one
-join irreducible at a time.
+join irreducible at a time.  J(P)'s tables and the construction's unions
+both go through the pair lookup in :mod:`latticekit.lattice`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .errors import (
     UnknownElement,
 )
 from .freedist import _mask_indices
-from .lattice import Edge, Lattice, _row_blocks, join_irreducibles, set_family_tables
+from .lattice import Edge, Lattice, _pair_lookup, join_irreducibles, set_family_tables
 from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
     _canonical_rows,
     _pack_rows,
-    _set_keys,
     _unpack_rows,
     is_isomorphic,
     order_ideal_masks,
@@ -272,16 +272,14 @@ def _covers_of(nodes: np.ndarray, base: np.ndarray) -> np.ndarray:
 def _close_under_union(nodes: np.ndarray, seeds: np.ndarray) -> Optional[np.ndarray]:
     """``nodes`` closed under union, or None when every union of two
     ``seeds`` rows is already a node.  After the first round every node is
-    a seed; unions are formed one block of seed rows at a time."""
+    a seed; the unions that :func:`_pair_lookup` misses among the nodes are
+    the fresh ones."""
     closed = None
     while True:
-        known = np.sort(_set_keys(nodes))
         fresh = [seeds[:0]]
-        for block in _row_blocks(len(seeds), seeds.size):
-            unions = (seeds[block, None, :] | seeds[None, :, :]).reshape(-1, seeds.shape[1])
-            keys = _set_keys(unions)
-            found = known[np.minimum(np.searchsorted(known, keys), len(known) - 1)]
-            fresh.append(unions[found != keys])
+        for block, _, missing in _pair_lookup(seeds, np.bitwise_or, nodes):
+            i, j = np.argwhere(missing).T + block.start
+            fresh.append(seeds[i] | seeds[j])
         fresh = np.concatenate(fresh)
         if not len(fresh):
             return closed

@@ -12,6 +12,7 @@ globally; ``--limit`` overrides it per invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,11 @@ def main(argv=None) -> int:
     limit = args.limit
     if limit is None:
         env = os.environ.get("LATTICE_LIMIT")
-        limit = int(env) if env else DEFAULT_IDEAL_CAP
+        try:
+            limit = int(env) if env else DEFAULT_IDEAL_CAP
+        except ValueError:
+            print(f"input error: LATTICE_LIMIT must be an integer, not {env!r}", file=sys.stderr)
+            return 2
     try:
         return args.func(args, limit)
     except SizeLimitExceeded as exc:
@@ -47,11 +52,12 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticekit",

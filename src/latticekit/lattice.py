@@ -1,5 +1,12 @@
 """Lattices on top of posets: total meet/join tables, grading, join
-irreducibles, generated sublattices and rank."""
+irreducibles, generated sublattices and rank.
+
+Every meet/join table comes from one pair lookup, :func:`_pair_lookup`:
+two packed rows combined by ``&`` or ``|``, found among the rows of a
+sorted family.  ``as_lattice`` looks up intersections of principal down-sets
+(and up-sets), ``set_family_tables`` the intersections and unions of a
+closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
+the unions of its nodes."""
 
 from __future__ import annotations
 
@@ -241,6 +248,16 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 def as_lattice(p: Poset) -> Lattice:
     """Promote a poset to a lattice, verifying unique lubs and glbs.
 
+    a and b have a meet exactly when down(a) ∩ down(b) is the down-set
+    down(c) of some element c, and that c is a ∧ b.  If it is, c ≤ a and
+    c ≤ b because c ∈ down(c), and every common lower bound lies in down(c),
+    so below c.  If a ∧ b exists, x ≤ a and x ≤ b hold exactly when
+    x ≤ a ∧ b, so down(a) ∩ down(b) = down(a ∧ b).  In a partial order
+    distinct elements have distinct down-sets, so the meet table is where
+    down(a) ∩ down(b) lies among the principal down-sets, and a pair whose
+    intersection is no principal down-set has no meet.  Joins are the same
+    with up-sets.  One lookup (:func:`_pair_lookup`) serves both tables.
+
     Raises :class:`NotALattice` with the witness pair and its set of
     minimal upper (or maximal lower) bounds; the pair is the first failing
     one with a ascending, b >= a, join checked before meet.
@@ -249,10 +266,16 @@ def as_lattice(p: Poset) -> Lattice:
     if n == 0:
         raise NotALattice((None, None), [], "empty")
     _check_table_size(n)
-    topo = np.array(p.topo_order)
-    join, join_bad = _least_bounds(p.leq, topo)
-    meet, meet_bad = _least_bounds(p.leq.T, topo[::-1])
-    bad = np.nonzero(join_bad | meet_bad)[0]
+    meet = np.empty((n, n), dtype=np.int16)
+    join = np.empty((n, n), dtype=np.int16)
+    bad = np.zeros(n, dtype=bool)
+    for table, bounds in ((join, p.leq), (meet, p.leq.T)):
+        rows = _pack_rows(bounds)
+        for block, found, missing in _pair_lookup(rows, np.bitwise_and, rows):
+            table[block, block.start :] = found
+            table[block.start :, block] = found.T
+            bad[block] |= missing.any(axis=1)
+    bad = np.flatnonzero(bad)
     if bad.size:  # the first flagged row holds the pair loop's first failure
         _raise_first_failure(p, int(bad[0]))
     bottom, top = 0, 0
@@ -270,40 +293,26 @@ def _check_table_size(n: int) -> None:
         )
 
 
-# lowest set bit of a byte; an empty byte reads as 0, and the candidate it
-# yields then fails the bound check
-_LOW_BIT = np.array([(v & -v).bit_length() - 1 for v in range(256)], dtype=np.intp)
-_LOW_BIT[0] = 0
+def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):
+    """Where ``op`` of two rows lies in ``family``, one row block at a time.
 
-
-def _least_bounds(bounds: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least common bound of every pair, and the rows where one is missing.
-
-    ``bounds[i]`` is the boolean row of elements bounding i (its up-set for
-    joins, its down-set for meets).  ``order`` lists each element after
-    every other element it bounds, so the first common bound of a and b in
-    ``order`` is a minimal one; it is the least exactly when its own bound
-    row equals the common bound row.  ``bad[a]`` is set when that check
-    fails for a pair (a, b) with b >= a, or with b < a in a's row block.
+    ``rows`` and ``family`` are packed (m, words) uint64 arrays and ``op``
+    is ``np.bitwise_and`` or ``np.bitwise_or``.  For each block of rows i
+    (see :func:`_row_blocks`) this yields ``(block, found, missing)``: for
+    every j from the block's first row on, ``op(rows[i], rows[j])`` is
+    ``family[found[i', j']]`` (i', j' counted from the block's first row),
+    unless ``missing[i', j']`` is set because no family row equals it.
+    Each result is found by a sorted search on the family's keys and
+    confirmed word by word.  When a row repeats in ``family``, the lowest
+    of its indices is found.
     """
-    n = len(order)
-    rows = _pack_rows(bounds[:, order])
-    block = max(1, TABLE_BLOCK_CELLS // (n * rows.shape[1]))
-    table = np.empty((n, n), dtype=np.int16)
-    bad = np.zeros(n, dtype=bool)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        common = rows[start:stop, None, :] & rows[None, start:, :]
-        word = (common != 0).argmax(axis=2)[..., None]
-        first = np.take_along_axis(common, word, axis=2).view(np.uint8)
-        byte = (first != 0).argmax(axis=2)[..., None]
-        bit = _LOW_BIT[np.take_along_axis(first, byte, axis=2)]
-        candidate = order[(64 * word + 8 * byte + bit)[..., 0]]
-        least = (rows[candidate] == common).all(axis=2)
-        table[start:stop, start:] = candidate
-        table[start:, start:stop] = candidate.T
-        bad[start:stop] = ~least.all(axis=1)
-    return table, bad
+    keys = _set_keys(family)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys, sorted_rows = keys[order], family[order]
+    for block in _row_blocks(len(rows), rows.size):
+        results = op(rows[block, None], rows[None, block.start :])
+        pos = np.minimum(np.searchsorted(sorted_keys, _set_keys(results)), len(order) - 1)
+        yield block, order[pos], (sorted_rows.take(pos, axis=0) != results).any(axis=2)
 
 
 def _raise_first_failure(p: Poset, a: int) -> None:
@@ -342,32 +351,19 @@ def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     members = np.ascontiguousarray(members, dtype=np.uint64)
     m = len(members)
     _check_table_size(m)
-    keys = _set_keys(members)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+    if len(np.unique(_set_keys(members))) < m:
         raise ValueError("set family has a repeated member")
     meet = np.empty((m, m), dtype=np.int16)
     join = np.empty((m, m), dtype=np.int16)
-    block = max(1, TABLE_BLOCK_CELLS // max(m * members.shape[1], 1))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        for table, op, name in (
-            (meet, np.bitwise_and, "intersection"),
-            (join, np.bitwise_or, "union"),
-        ):
-            wanted = _set_keys(op(members[start:stop, None], members[None, start:]))
-            pos = np.minimum(np.searchsorted(sorted_keys, wanted), m - 1)
-            missing = sorted_keys[pos] != wanted
+    tables = ((meet, "intersection"), (join, "union"))
+    lookups = [_pair_lookup(members, op, members) for op in (np.bitwise_and, np.bitwise_or)]
+    for blocks in zip(*lookups):  # each row block's intersections, then its unions
+        for (block, found, missing), (table, name) in zip(blocks, tables):
             if missing.any():
-                i, j = np.argwhere(missing)[0]
-                raise ValueError(
-                    f"set family not closed under {name}: "
-                    f"rows {start + i} and {start + j}"
-                )
-            found = order[pos]
-            table[start:stop, start:] = found
-            table[start:, start:stop] = found.T
+                i, j = np.argwhere(missing)[0] + block.start
+                raise ValueError(f"set family not closed under {name}: rows {i} and {j}")
+            table[block, block.start :] = found
+            table[block.start :, block] = found.T
     leq = meet == np.arange(m)[:, None]
     return leq, meet, join
 

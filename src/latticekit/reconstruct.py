@@ -136,7 +136,6 @@ def _names(value, what: str, length: Optional[int] = None) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SpecReport:
-    ok: bool
     factor_count: int
     irreducible_count: int
 
@@ -192,7 +191,7 @@ def validate_spec(s: ReconstructionSpec) -> SpecReport:
         build_poset(names, s.order, warn_redundant=False)
     except CycleDetected as exc:
         raise InconsistentOrder(f"declared order facts are cyclic: {exc}") from exc
-    return SpecReport(True, len(s.factors), len(s.irreducibles))
+    return SpecReport(len(s.factors), len(s.irreducibles))
 
 
 def irreducible_order(s: ReconstructionSpec, infer: bool = False) -> Poset:

@@ -10,6 +10,7 @@ import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit import lattice as lattice_module
+from latticekit.poset import _pack_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,6 +39,59 @@ def reference_set_tables(sets):
             meet[i, j] = index[a & b]
             join[i, j] = index[a | b]
     return leq, meet, join
+
+
+# lowest set bit of a byte; an empty byte reads as 0, and the candidate it
+# yields then fails the bound check
+_LOW_BIT = np.array([(v & -v).bit_length() - 1 for v in range(256)], dtype=np.intp)
+_LOW_BIT[0] = 0
+
+
+def reference_least_bounds(bounds, order):
+    """Linear-extension reference for the table lookup in ``as_lattice``:
+    least common bound of every pair, and the rows where one is missing.
+
+    ``bounds[i]`` is the boolean row of elements bounding i (its up-set for
+    joins, its down-set for meets).  ``order`` lists each element after
+    every other element it bounds, so the first common bound of a and b in
+    ``order`` is a minimal one; it is the least exactly when its own bound
+    row equals the common bound row.  ``bad[a]`` is set when that check
+    fails for a pair (a, b) with b >= a, or with b < a in a's row block.
+    """
+    n = len(order)
+    rows = _pack_rows(bounds[:, order])
+    block = max(1, lattice_module.TABLE_BLOCK_CELLS // (n * rows.shape[1]))
+    table = np.empty((n, n), dtype=np.int16)
+    bad = np.zeros(n, dtype=bool)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        common = rows[start:stop, None, :] & rows[None, start:, :]
+        word = (common != 0).argmax(axis=2)[..., None]
+        first = np.take_along_axis(common, word, axis=2).view(np.uint8)
+        byte = (first != 0).argmax(axis=2)[..., None]
+        bit = _LOW_BIT[np.take_along_axis(first, byte, axis=2)]
+        candidate = order[(64 * word + 8 * byte + bit)[..., 0]]
+        least = (rows[candidate] == common).all(axis=2)
+        table[start:stop, start:] = candidate
+        table[start:, start:stop] = candidate.T
+        bad[start:stop] = ~least.all(axis=1)
+    return table, bad
+
+
+def reference_first_bound_tables(p):
+    """``as_lattice`` by the first common bound in a linear extension:
+    (meet, join, bottom, top), or the NotALattice of the first flagged row."""
+    topo = np.array(p.topo_order)
+    join, join_bad = reference_least_bounds(p.leq, topo)
+    meet, meet_bad = reference_least_bounds(p.leq.T, topo[::-1])
+    bad = np.nonzero(join_bad | meet_bad)[0]
+    if bad.size:
+        lattice_module._raise_first_failure(p, int(bad[0]))
+    bottom, top = 0, 0
+    for a in range(p.n):
+        bottom = int(meet[bottom, a])
+        top = int(join[top, a])
+    return meet, join, bottom, top
 
 
 def mask_indices(m):

@@ -489,6 +489,26 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "no_such_file.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("check", "{}", "--property", "modular"),
+            ("render", "{}", "--out", "{}.dot"),
+            ("birkhoff", "ideals", "{}"),
+            ("birkhoff", "irr", "{}"),
+            ("birkhoff", "roundtrip", "{}"),
+            ("stanley", "{}", "--trace-dir", "{}.trace"),
+            ("reconstruct", "{}"),
+            ("factors", "{}", "a"),
+        ],
+    )
+    def test_file_not_utf8(self, capsys, tmp_path, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(a.format(bad) for a in verb))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: ") and "can't decode" in err
+
 
 
 class TestRecognize:
@@ -545,3 +565,9 @@ class TestRenderAndDeterminism:
         monkeypatch.setenv("LATTICE_LIMIT", "5")
         code, _, err = run(capsys, "birkhoff", "ideals", FIXTURES / "b3_poset.json")
         assert code == 3
+
+    def test_limit_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATTICE_LIMIT", "abc")
+        code, out, err = run(capsys, "dedekind", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "input error: LATTICE_LIMIT must be an integer, not 'abc'\n"

@@ -13,6 +13,7 @@ from latticekit.lattice import TABLE_LIMIT, set_family_tables
 from conftest import (
     BLOCK_CELLS,
     CATALOG,
+    reference_first_bound_tables,
     reference_set_tables,
     reference_verify,
     searched_lattices,
@@ -333,6 +334,59 @@ class TestAsLatticeMatchesPairLoop:
         too_big = SimpleNamespace(n=TABLE_LIMIT + 1)
         with pytest.raises(lk.SizeLimitExceeded, match="32768"):
             lk.as_lattice(too_big)
+
+
+@st.composite
+def wide_partial_orders(draw):
+    """Partial orders of up to 128 elements, so that packed rows often take
+    two words, listed in a random order: the down-set lattice J(P) of a
+    random poset on at most 7 points, or the closure of a random DAG on at
+    most 100 points, often with a bottom and a top adjoined (the sparse ones
+    are lattices, the denser ones mostly not)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=7))
+        names = [f"x{i}" for i in range(k)]
+        below = np.triu(rng.random((k, k)) < 0.3, 1)
+        covers = [(names[i], names[j]) for i, j in zip(*np.nonzero(below))]
+        leq = lk.ideals_lattice(lk.build_poset(names, covers, warn_redundant=False)).lattice.leq
+    else:
+        n = draw(st.integers(min_value=1, max_value=100))
+        density = draw(st.sampled_from([0.01, 0.05, 0.2]))
+        leq = np.triu(rng.random((n, n)) < density, 1) | np.eye(n, dtype=bool)
+        for k in range(n):  # transitive closure
+            leq |= leq[:, k, None] & leq[k]
+        if draw(st.booleans()):
+            leq = np.pad(leq, 1)
+            leq[0] = leq[:, -1] = True
+    order = rng.permutation(len(leq))
+    return lk.Poset([f"e{i}" for i in order], leq[np.ix_(order, order)])
+
+
+def tables_outcome(build):
+    """(meet, join, bottom, top) as bytes and ints from ``build()``, or the
+    NotALattice it raised as (pair, candidates, kind, message)."""
+    try:
+        meet, join, bottom, top = build()
+    except lk.NotALattice as exc:
+        return exc.pair, exc.candidates, exc.kind, str(exc)
+    return meet.tobytes(), join.tobytes(), bottom, top
+
+
+class TestAsLatticeMatchesFirstCommonBound:
+    """The one pair lookup gives the tables and witnesses of the
+    linear-extension search it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_partial_orders(), st.sampled_from(BLOCK_CELLS))
+    def test_random_orders(self, p, cells):
+        def library():
+            l = lk.as_lattice(p)
+            return l.meet, l.join, l.bottom_index, l.top_index
+
+        with table_blocks(cells):
+            expected = tables_outcome(lambda: reference_first_bound_tables(p))
+            assert tables_outcome(library) == expected
 
 
 class TestSetFamilyTables:

@@ -38,9 +38,9 @@ def spec_without(spec, name):
 
 class TestValidate:
     def test_both_cases_valid(self, case_n1_spec, case_n2_spec):
-        assert lk.validate_spec(case_n1_spec).ok
-        assert lk.validate_spec(case_n2_spec).ok
-        assert lk.validate_spec(case_n2_spec).irreducible_count == 6
+        n1, n2 = lk.validate_spec(case_n1_spec), lk.validate_spec(case_n2_spec)
+        assert (n1.factor_count, n1.irreducible_count) == (6, 6)
+        assert (n2.factor_count, n2.irreducible_count) == (6, 6)
 
     def test_coverage_gap(self, case_n2_spec):
         broken = spec_without(case_n2_spec, "A∩B")  # drops the only g
