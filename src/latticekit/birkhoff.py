@@ -81,11 +81,10 @@ def ideals_lattice(
     """
     namer = namer or brace_name
     rows = order_ideal_masks(p, cap)
-    m = len(rows)
     leq, meet, join = set_family_tables(rows)
     inside = _unpack_rows(rows, p.n)
     names = [namer(tuple(compress(p.names, row))) for row in inside.tolist()]
-    lattice = Lattice(Poset(names, leq), meet, join, 0, m - 1, verify=m <= 600)
+    lattice = Lattice(Poset(names, leq), meet, join)
 
     # I ∪ down(x) for every I and x (the first row holding x is down(x));
     # it covers I, adding x alone, exactly when it is one element larger

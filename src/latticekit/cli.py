@@ -53,7 +53,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        where = "" if isinstance(exc, OSError) else f"{args.file}: "  # an OSError's text names the file
+        print(f"input error: {where}{exc}", file=sys.stderr)
         return 2
 
 

@@ -74,11 +74,6 @@ class MonotoneElement:
     def is_top(self) -> bool:
         return self.clauses == (0,)
 
-    @property
-    def is_proper(self) -> bool:
-        """True for elements of the restricted lattice (no sentinels)."""
-        return bool(self.clauses) and 0 not in self.clauses
-
     def truth_table(self) -> int:
         """Bit A is set iff the element is true under assignment mask A."""
         tt = 0
@@ -335,7 +330,7 @@ def generate_lattice(n: int, extended: bool = False, cap: int = GENERATE_CAP) ->
         "0̂" if e.is_bottom else "1̂" if e.is_top else render(e) for e in elements
     ]
     leq, meet, join = set_family_tables(tts[order, None])
-    return Lattice(Poset(names, leq), meet, join, 0, len(elements) - 1)
+    return Lattice(Poset(names, leq), meet, join)
 
 
 def dedekind_count(n: int) -> int:

@@ -1,6 +1,9 @@
 """Lattices on top of posets: total meet/join tables, grading, join
 irreducibles, generated sublattices and rank.
 
+A :class:`Lattice` is a poset and its two tables; its constructor checks
+them and reads the bottom and top off the order, so no builder passes them.
+
 Every meet/join table comes from one pair lookup, :func:`_pair_lookup`:
 two packed rows combined by ``&`` or ``|``, found among the rows of a
 sorted family.  ``as_lattice`` looks up intersections of principal down-sets
@@ -40,35 +43,33 @@ class Lattice:
     Tables are int16 numpy arrays, so a lattice has at most
     ``TABLE_LIMIT`` (32767) elements; the table builders raise
     :class:`SizeLimitExceeded` before allocating anything larger.  Lookups
-    are O(1).  With ``verify`` (up to ``VERIFY_LIMIT`` elements) the tables
-    are checked against the order in O(n² + covers·n) time; the O(n³/64)
-    pair scan runs only on tables that fail that check, to name the first
-    failing pair.  Instances are immutable and safe for concurrent reads;
-    the grading, the dual and the property verdicts are computed once and
-    kept.
+    are O(1).  The constructor alone decides what is checked: up to
+    ``VERIFY_LIMIT`` elements, above which checking costs as much as
+    building or more, the tables are checked against the order in
+    O(n² + covers·n) time; the O(n³/64) pair scan runs only on tables that
+    fail that check, to name the first failing pair.  The bottom and top
+    are the unique elements below and above all others (else
+    :class:`NotALattice`).  Instances are immutable and safe for concurrent
+    reads; the grading, the dual and the property verdicts are computed
+    once and kept.
     """
 
-    def __init__(
-        self,
-        poset: Poset,
-        meet: np.ndarray,
-        join: np.ndarray,
-        bottom: int,
-        top: int,
-        *,
-        verify: bool = True,
-    ):
+    def __init__(self, poset: Poset, meet: np.ndarray, join: np.ndarray):
         self.poset = poset
         self.meet = np.asarray(meet, dtype=np.int16)
         self.join = np.asarray(join, dtype=np.int16)
+        n = self.n
+        for table, kind in ((self.meet, "meet"), (self.join, "join")):
+            if table.shape != (n, n):
+                raise InvalidArgument(f"{kind} table has shape {table.shape}, not {(n, n)}")
         self.meet.flags.writeable = False
         self.join.flags.writeable = False
-        self.bottom_index = int(bottom)
-        self.top_index = int(top)
         # property reports, each stored by latticekit.properties on first use
         self.verdicts: dict[str, object] = {}
-        if verify and self.n <= VERIFY_LIMIT:
+        if n <= VERIFY_LIMIT:
             self._verify()
+        self.bottom_index = self._unique_bound(self.leq.all(axis=1), "bottom")
+        self.top_index = self._unique_bound(self.leq.all(axis=0), "top")
 
     # -- delegation -------------------------------------------------------
 
@@ -108,6 +109,13 @@ class Lattice:
         return f"Lattice({self.n} elements, bottom={self.bottom!r}, top={self.top!r})"
 
     # -- verification ------------------------------------------------------
+
+    def _unique_bound(self, flags: np.ndarray, kind: str) -> int:
+        """The one element set in ``flags``, else NotALattice."""
+        found = np.flatnonzero(flags)
+        if len(found) != 1:
+            raise NotALattice((None, None), [self.names[i] for i in found], kind)
+        return int(found[0])
 
     def _verify(self):
         """Check that ``meet`` and ``join`` are the glb and lub of ``leq``:
@@ -224,14 +232,7 @@ class Lattice:
     @cached_property
     def dual(self) -> "Lattice":
         """Order-reversed lattice (meet and join tables swapped)."""
-        return Lattice(
-            dual_poset(self.poset),
-            self.join,
-            self.meet,
-            self.top_index,
-            self.bottom_index,
-            verify=False,
-        )
+        return Lattice(dual_poset(self.poset), self.join, self.meet)
 
 
 
@@ -278,11 +279,7 @@ def as_lattice(p: Poset) -> Lattice:
     bad = np.flatnonzero(bad)
     if bad.size:  # the first flagged row holds the pair loop's first failure
         _raise_first_failure(p, int(bad[0]))
-    bottom, top = 0, 0
-    for a in range(n):
-        bottom = int(meet[bottom, a])
-        top = int(join[top, a])
-    return Lattice(p, meet, join, bottom, top, verify=n <= VERIFY_LIMIT)
+    return Lattice(p, meet, join)
 
 
 def _check_table_size(n: int) -> None:
@@ -325,7 +322,8 @@ def _raise_first_failure(p: Poset, a: int) -> None:
                 raise NotALattice(
                     (p.names[a], p.names[b]), [p.names[i] for i in least], kind
                 )
-    raise RuntimeError(f"row {a} was flagged but all its bounds are unique")
+    # in a partial order, common bounds with one extremal c are c's bound set: no miss
+    raise InvalidArgument(f"leq is not a partial order (row {p.names[a]!r})")
 
 
 def _extremal(common: np.ndarray, bounds: np.ndarray) -> list[int]:
@@ -532,8 +530,7 @@ def interval_sublattice(l: Lattice, a: str, b: str) -> Lattice:
     keep = np.flatnonzero(l.leq[ia] & l.leq[:, ib])
     # keep is ascending, so searchsorted gives each element's new index
     meet, join = (np.searchsorted(keep, t[np.ix_(keep, keep)]) for t in (l.meet, l.join))
-    bottom, top = np.searchsorted(keep, [ia, ib])
-    return Lattice(l.poset.restrict(keep.tolist()), meet, join, bottom, top, verify=False)
+    return Lattice(l.poset.restrict(keep.tolist()), meet, join)
 
 
 def add_bounds(
@@ -545,7 +542,6 @@ def add_bounds(
     """Adjoin a new bottom and/or top element strictly outside the lattice."""
     names = list(l.names)
     n = l.n
-    bi, ti = l.bottom_index, l.top_index
     extra = []
     if bottom is not None:
         if bottom in l.poset:
@@ -573,16 +569,14 @@ def add_bounds(
             meet[k, :] = meet[:, k] = k
             join[k, :n] = join[:n, k] = np.arange(n)
             join[k, k] = k
-            bi = k
         else:
             leq[:n, k] = True
             join[k, :] = join[:, k] = k
             meet[k, :n] = meet[:n, k] = np.arange(n)
             meet[k, k] = k
-            ti = k
     if bottom is not None and top is not None:
         b, t = n, n + 1
         leq[b, t] = True
         meet[b, t] = meet[t, b] = b
         join[b, t] = join[t, b] = t
-    return Lattice(Poset(names, leq), meet, join, bi, ti, verify=m <= VERIFY_LIMIT)
+    return Lattice(Poset(names, leq), meet, join)

@@ -114,11 +114,6 @@ class Poset:
         return tuple(int(i) for i in np.nonzero(col == 1)[0])
 
     @cached_property
-    def maximal_indices(self) -> tuple[int, ...]:
-        row = self.leq.sum(axis=1)
-        return tuple(int(i) for i in np.nonzero(row == 1)[0])
-
-    @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """A linear extension: below-counts ascending, index as tie-break."""
         return tuple(np.argsort(self.leq.sum(axis=0), kind="stable").tolist())

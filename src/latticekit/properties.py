@@ -124,15 +124,20 @@ class SemimodularReport:
     chain_witness: Optional[tuple[list[str], list[str]]] = None
 
 
+def _degree_excess(l: Lattice) -> Optional[np.ndarray]:
+    """rho(a) + rho(b) - rho(avb) - rho(a^b) for all pairs; None if not graded."""
+    if l.grading.graded:
+        rho = np.array([l.grading.degree[x] for x in l.names])
+        return rho[:, None] + rho - rho[l.join.astype(int)] - rho[l.meet.astype(int)]
+    return None
+
+
 def is_upper_semimodular(l: Lattice) -> SemimodularReport:
     """Graded with rho(a) + rho(b) >= rho(avb) + rho(a^b) for all pairs."""
-    g = l.grading
-    if not g.graded:
-        return SemimodularReport(False, False, chain_witness=g.witness)
-    rho = np.array([g.degree[x] for x in l.names])
-    lhs = rho[:, None] + rho[None, :]
-    rhs = rho[l.join.astype(int)] + rho[l.meet.astype(int)]
-    bad = np.argwhere(lhs < rhs)
+    excess = _degree_excess(l)
+    if excess is None:
+        return SemimodularReport(False, False, chain_witness=l.grading.witness)
+    bad = np.argwhere(excess < 0)
     if bad.size:
         a, b = (int(v) for v in bad[0])
         return SemimodularReport(False, True, violation=(l.names[a], l.names[b]))
@@ -179,15 +184,24 @@ def is_modular(l: Lattice) -> ModularityReport:
     """Three equivalent criteria, checked against each other:
 
     1. the identity b v (a ^ c) = (b v a) ^ c for all b <= c;
-    2. graded with the degree inequality holding both ways
-       (upper semimodular and dually);
+    2. graded with rho(a) + rho(b) = rho(avb) + rho(a^b) for all pairs;
     3. no pentagon sublattice.
+
+    Criterion 2 is l and its dual upper semimodular, read off l's grading.
+    The dual reverses the order (a ⋖ b becomes b ⋖ a) and swaps meet and
+    join.  If l is graded with height h, rho* = h - rho is 0 on the dual's
+    bottom and grows by one across its covers, so the dual is graded with
+    degree rho* (degrees are unique: every element is on a cover chain
+    from the bottom); symmetrically l is graded when its dual is.  The
+    dual's inequality rho*(a) + rho*(b) >= rho*(a^b) + rho*(avb) then reads
+    rho(a) + rho(b) <= rho(avb) + rho(a^b), the other half of the equality.
     """
     violation = _modular_identity_violation(l)
     pentagon = find_pentagon(l)
+    excess = _degree_excess(l)
     criteria = {
         "identity": violation is None,
-        "degree": is_upper_semimodular(l).ok and is_upper_semimodular(l.dual).ok,
+        "degree": excess is not None and not excess.any(),
         "pentagon_free": pentagon is None,
     }
     _check_agreement("modularity", criteria, violation=violation, pentagon=pentagon)

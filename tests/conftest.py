@@ -251,6 +251,22 @@ def reference_verify(poset, meet, join):
         raise lk.NotALattice(table, [], "join-order")
 
 
+def reference_bounds(l):
+    """(bottom, top) indices by folding the meet and join tables over every
+    element."""
+    bottom, top = 0, 0
+    for a in range(l.n):
+        bottom = int(l.meet[bottom, a])
+        top = int(l.join[top, a])
+    return bottom, top
+
+
+def reference_degree(l):
+    """The degree criterion of modularity through the dual: ``l`` and its
+    dual both upper semimodular."""
+    return lk.is_upper_semimodular(l).ok and lk.is_upper_semimodular(l.dual).ok
+
+
 def reference_find_pentagon(l):
     """Pair-loop pentagon search: b ascending, c ascending above b, then
     the smallest a."""

@@ -15,6 +15,19 @@ from latticekit.cli import main
 from conftest import FIXTURES
 
 
+# every verb that reads a file, with "{}" standing for its path
+FILE_VERBS = [
+    ("check", "{}", "--property", "modular"),
+    ("render", "{}", "--out", "{}.dot"),
+    ("birkhoff", "ideals", "{}"),
+    ("birkhoff", "irr", "{}"),
+    ("birkhoff", "roundtrip", "{}"),
+    ("stanley", "{}", "--trace-dir", "{}.trace"),
+    ("reconstruct", "{}"),
+    ("factors", "{}", "a"),
+]
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -489,25 +502,22 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", "no_such_file.json")
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "verb",
-        [
-            ("check", "{}", "--property", "modular"),
-            ("render", "{}", "--out", "{}.dot"),
-            ("birkhoff", "ideals", "{}"),
-            ("birkhoff", "irr", "{}"),
-            ("birkhoff", "roundtrip", "{}"),
-            ("stanley", "{}", "--trace-dir", "{}.trace"),
-            ("reconstruct", "{}"),
-            ("factors", "{}", "a"),
-        ],
-    )
+    @pytest.mark.parametrize("verb", FILE_VERBS)
     def test_file_not_utf8(self, capsys, tmp_path, verb):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe")
         code, out, err = run(capsys, *(a.format(bad) for a in verb))
         assert (code, out) == (2, "")
         assert err.startswith("input error: ") and "can't decode" in err
+        assert err.startswith(f"input error: {bad}: ")
+
+    @pytest.mark.parametrize("verb", FILE_VERBS)
+    def test_file_not_json(self, capsys, tmp_path, verb):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"elements": [', encoding="utf-8")
+        code, out, err = run(capsys, *(a.format(bad) for a in verb))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: {bad}: Expecting value")
 
 
 

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
+from latticekit import lattice as lattice_module
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
 
 from conftest import (
     BLOCK_CELLS,
     CATALOG,
+    reference_bounds,
+    reference_degree,
     reference_first_bound_tables,
     reference_set_tables,
     reference_verify,
@@ -64,7 +67,25 @@ class TestAsLattice:
         join = np.array(b3.join)
         join[1, 2] = join[2, 1] = b3.top_index  # wrong lub for two atoms
         with pytest.raises(lk.NotALattice):
-            lk.Lattice(b3.poset, b3.meet, join, b3.bottom_index, b3.top_index)
+            lk.Lattice(b3.poset, b3.meet, join)
+
+    def test_not_a_partial_order_names_the_row(self):
+        # not transitive: a row is flagged although every pair in it has
+        # one extremal common bound
+        leq = np.array(
+            [[1, 0, 1, 0, 1], [0, 1, 1, 1, 0], [0, 1, 1, 0, 0], [1, 1, 0, 1, 0], [0, 0, 0, 0, 1]],
+            dtype=bool,
+        )
+        with pytest.raises(lk.InvalidArgument, match=r"not a partial order \(row '0'\)"):
+            lk.as_lattice(lk.Poset(list("01234"), leq))
+
+    def test_short_table_named(self, b3):
+        with pytest.raises(lk.InvalidArgument, match=r"meet table has shape \(5, 8\), not \(8, 8\)"):
+            lk.Lattice(b3.poset, b3.meet[:5], b3.join)
+
+    def test_flat_table_named(self, b3):
+        with pytest.raises(lk.InvalidArgument, match=r"join table has shape \(8,\), not \(8, 8\)"):
+            lk.Lattice(b3.poset, b3.meet, b3.join[0])
 
 
 class TestGrade:
@@ -489,17 +510,17 @@ def corrupted_tables(draw):
             tables[which][i, j] = value
             if kind == "both":
                 tables[which][j, i] = value
-    return lk.Poset(l.names, leq), tables["meet"], tables["join"], l.bottom_index, l.top_index
+    return lk.Poset(l.names, leq), tables["meet"], tables["join"]
 
 
 class TestVerifyMatchesPairScan:
     @settings(max_examples=600, deadline=None)
     @given(corrupted_tables(), st.sampled_from(BLOCK_CELLS))
     def test_corrupted_tables(self, case, cells):
-        poset, meet, join, bottom, top = case
+        poset, meet, join = case
         expected = verify_outcome(lambda: reference_verify(poset, meet, join))
         with table_blocks(cells):
-            got = verify_outcome(lambda: lk.Lattice(poset, meet, join, bottom, top))
+            got = verify_outcome(lambda: lk.Lattice(poset, meet, join))
         assert got == expected
 
     def test_valid_lattices_skip_the_pair_scan(self, monkeypatch, case_n1_spec, case_n2_spec):
@@ -521,7 +542,7 @@ class TestVerifyMatchesPairScan:
         join = np.array(b4.join)
         join[1, 2] = join[2, 1] = b4.top_index  # an upper bound, not the least
         with pytest.raises(lk.NotALattice) as exc:
-            lk.Lattice(b4.poset, b4.meet, join, b4.bottom_index, b4.top_index)
+            lk.Lattice(b4.poset, b4.meet, join)
         assert exc.value.pair == (b4.names[1], b4.names[2]) and scanned == [16]
 
     @pytest.mark.parametrize("value", [-1, 8, 99])
@@ -530,5 +551,108 @@ class TestVerifyMatchesPairScan:
         tables = {"meet": np.array(b3.meet), "join": np.array(b3.join)}
         tables[which][1, 2] = value
         with pytest.raises(lk.NotALattice) as exc:
-            lk.Lattice(b3.poset, tables["meet"], tables["join"], b3.bottom_index, b3.top_index)
+            lk.Lattice(b3.poset, tables["meet"], tables["join"])
         assert (exc.value.pair, exc.value.kind) == (("<table>", "<table>"), which)
+
+
+# -- bounds and the degree criterion against the table fold and the dual --------
+
+
+def assert_bounds_and_degree(l):
+    """Bounds equal the table fold's; the degree criterion of ``is_modular``
+    equals both upper semimodularities, l's and its dual's, and judging
+    builds no dual."""
+    assert (l.bottom_index, l.top_index) == reference_bounds(l)
+    degree = lk.is_modular(l).criteria["degree"]
+    assert "dual" not in vars(l)
+    assert degree == reference_degree(l)
+
+
+def derived_lattices(l):
+    """``l`` with adjoined bounds, its dual, and its intervals from the
+    bottom and to the top."""
+    out = [
+        lk.add_bounds(l, bottom="lo"),
+        lk.add_bounds(l, top="hi"),
+        lk.add_bounds(l, bottom="lo", top="hi"),
+        l.dual,
+    ]
+    for x in l.names:
+        out += [lk.interval_sublattice(l, l.bottom, x), lk.interval_sublattice(l, x, l.top)]
+    return out
+
+
+class TestBoundsAndDegreeMatchReferences:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert_bounds_and_degree(CATALOG[name]())
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_derived_from_catalog(self, name):
+        for l in derived_lattices(CATALOG[name]()):
+            assert_bounds_and_degree(l)
+
+    @settings(max_examples=60, deadline=None)
+    @given(searched_lattices())
+    def test_searched_lattices(self, l):
+        assert_bounds_and_degree(l)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_posets())
+    def test_ideals_of_random_posets(self, p):
+        l = lk.ideals_lattice(p).lattice
+        assert_bounds_and_degree(l)
+        for d in (lk.add_bounds(l, bottom="lo", top="hi"), l.dual):
+            assert_bounds_and_degree(d)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_free_lattices(self, k, extended):
+        assert_bounds_and_degree(fd.generate_lattice(k, extended=extended))
+
+    def test_bounds_come_from_the_order(self, b3):
+        l = lk.Lattice(b3.poset, b3.meet, b3.join)
+        assert (l.bottom, l.top) == ("{}", "{1,2,3}")
+        assert l.grading.degree == b3.grading.degree
+
+
+class TestConstructorAloneVerifies:
+    def test_dual_interval_and_large_ideals_lattice_verified_once(self, monkeypatch, b3):
+        calls = []
+        verify = lk.Lattice._verify
+
+        def counted(l):
+            calls.append(l.n)
+            return verify(l)
+
+        monkeypatch.setattr(lk.Lattice, "_verify", counted)
+        lk.Lattice(b3.poset, b3.meet, b3.join).dual
+        assert calls == [8, 8]
+        lk.interval_sublattice(b3, "{}", "{1,2}")
+        assert calls == [8, 8, 4]
+        ideals = lk.ideals_lattice(catalog.antichain_poset(10)).lattice
+        assert ideals.n == 1024 and calls == [8, 8, 4, 1024]
+
+    @pytest.mark.parametrize(
+        "names, covers, kind, candidates",
+        [
+            (["0", "x", "y"], [("0", "x"), ("0", "y")], "top", []),
+            (["x", "y", "1"], [("x", "1"), ("y", "1")], "bottom", []),
+            ([], [], "bottom", []),
+        ],
+    )
+    def test_missing_bound_on_trusted_tables(self, monkeypatch, names, covers, kind, candidates):
+        monkeypatch.setattr(lattice_module, "VERIFY_LIMIT", -1)
+        p = lk.build_poset(names, covers)
+        zeros = np.zeros((p.n, p.n), dtype=np.int16)
+        with pytest.raises(lk.NotALattice) as exc:
+            lk.Lattice(p, zeros, zeros)
+        assert (exc.value.kind, exc.value.candidates) == (kind, candidates)
+
+    def test_two_bottoms_on_trusted_tables(self, monkeypatch):
+        monkeypatch.setattr(lattice_module, "VERIFY_LIMIT", -1)
+        p = lk.Poset(["a", "b"], np.ones((2, 2), dtype=bool))
+        zeros = np.zeros((2, 2), dtype=np.int16)
+        with pytest.raises(lk.NotALattice) as exc:
+            lk.Lattice(p, zeros, zeros)
+        assert (exc.value.kind, exc.value.candidates) == ("bottom", ["a", "b"])
