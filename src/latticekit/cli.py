@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args, limit) -> int:
-    l = io.read_lattice(args.file)
+    l = io.read_lattice(args.file, limit)
     prop = args.property
     if prop in ("modular", "distributive"):
         judge = properties.is_modular if prop == "modular" else properties.is_distributive
@@ -257,7 +257,7 @@ def _cmd_dedekind(args, limit) -> int:
 
 
 def _cmd_freedist_generate(args, limit) -> int:
-    l = freedist.generate_lattice(args.n, extended=args.extended)
+    l = freedist.generate_lattice(args.n, extended=args.extended, limit=limit)
     io.write_lattice(args.out, l)
     print(f"wrote {args.out} ({l.n} elements)")
     return 0

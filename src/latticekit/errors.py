@@ -40,19 +40,27 @@ class InvariantViolation(LatticeError):
 
 
 class NotALattice(LatticeError):
-    """Some pair of elements has no unique lub or glb.
+    """Some pair of elements has no unique lub or glb, or the order has no
+    unique bottom or top, or no elements at all.
 
     ``pair`` is the offending pair of names, ``candidates`` the set of
-    minimal upper (or maximal lower) bounds found for it.
+    minimal upper (or maximal lower) bounds found for it.  When the whole
+    order fails, ``pair`` is None and ``candidates`` holds the elements
+    below (or above) all others: kind ``"bottom"`` or ``"top"``, or
+    ``"empty"`` for an order with no elements.
     """
 
     def __init__(self, pair, candidates, kind="join"):
         self.pair = pair
         self.candidates = sorted(candidates)
         self.kind = kind
-        super().__init__(
-            f"no unique {kind} for {pair}: minimal bounds {self.candidates}"
-        )
+        if pair is not None:
+            message = f"no unique {kind} for {pair}: minimal bounds {self.candidates}"
+        elif kind == "empty":
+            message = "lattice has no elements"
+        else:
+            message = f"no unique {kind}: candidates {self.candidates}"
+        super().__init__(message)
 
 
 class NotDistributive(LatticeError):

@@ -25,7 +25,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownVariable,
 )
-from .lattice import Lattice, set_family_tables
+from .lattice import Lattice, _check_limit, set_family_tables
 from .poset import Poset
 
 GENERATE_CAP = 5
@@ -308,12 +308,16 @@ def _incomparability_masks(n: int) -> list[int]:
     return masks
 
 
-def generate_lattice(n: int, extended: bool = False, cap: int = GENERATE_CAP) -> Lattice:
+def generate_lattice(
+    n: int, extended: bool = False, cap: int = GENERATE_CAP, *, limit: Optional[int] = None
+) -> Lattice:
     """Materialize the free distributive lattice on n generators.
 
     Order, meet and join come from truth tables (subset / and / or);
     elements are named by their canonical DNF text, the adjoined bounds
-    by 0̂ and 1̂.  Sizes grow as the Dedekind numbers: keep n small.
+    by 0̂ and 1̂.  Sizes grow as the Dedekind numbers: keep n small.  More
+    than ``limit`` elements raise SizeLimitExceeded once they are
+    enumerated, before the tables are built.
     """
     if n > cap:
         raise SizeLimitExceeded(
@@ -322,6 +326,7 @@ def generate_lattice(n: int, extended: bool = False, cap: int = GENERATE_CAP) ->
     if n < 1:
         raise InvalidArgument(f"need at least one generator (got n={n})")
     elements = enumerate_elements(n, extended)
+    _check_limit(len(elements), limit)
     tts = np.array([e.truth_table() for e in elements], dtype=np.uint64)
     bits = np.unpackbits(tts.view(np.uint8).reshape(len(tts), -1), axis=1)
     order = np.lexsort((tts, bits.sum(axis=1)))

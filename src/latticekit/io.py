@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .birkhoff import LabeledLattice
 from .errors import InvalidSpec
-from .lattice import Lattice, as_lattice
+from .lattice import Lattice, _check_limit, as_lattice
 from .poset import Poset, build_poset
 
 PathLike = Union[str, Path]
@@ -93,9 +93,11 @@ def write_poset(path: PathLike, p: Poset, labels: Optional[dict] = None) -> None
     )
 
 
-def read_lattice(path: PathLike) -> Lattice:
-    """Load a poset file and validate lattice-ness."""
+def read_lattice(path: PathLike, limit: Optional[int] = None) -> Lattice:
+    """Load a poset file and validate lattice-ness.  A file of more than
+    ``limit`` elements raises SizeLimitExceeded before any table is built."""
     p, _ = read_poset(path)
+    _check_limit(p.n, limit)
     return as_lattice(p)
 
 

@@ -114,7 +114,7 @@ class Lattice:
         """The one element set in ``flags``, else NotALattice."""
         found = np.flatnonzero(flags)
         if len(found) != 1:
-            raise NotALattice((None, None), [self.names[i] for i in found], kind)
+            raise NotALattice(None, [self.names[i] for i in found], kind)
         return int(found[0])
 
     def _verify(self):
@@ -265,7 +265,7 @@ def as_lattice(p: Poset) -> Lattice:
     """
     n = p.n
     if n == 0:
-        raise NotALattice((None, None), [], "empty")
+        raise NotALattice(None, [], "empty")
     _check_table_size(n)
     meet = np.empty((n, n), dtype=np.int16)
     join = np.empty((n, n), dtype=np.int16)
@@ -288,6 +288,13 @@ def _check_table_size(n: int) -> None:
         raise SizeLimitExceeded(
             f"meet/join tables hold at most {TABLE_LIMIT} elements (got {n})"
         )
+
+
+def _check_limit(n: int, limit: Optional[int]) -> None:
+    """Raise :class:`SizeLimitExceeded` when n elements exceed ``limit``
+    (None for no limit); callers check before building tables."""
+    if limit is not None and n > limit:
+        raise SizeLimitExceeded(f"lattice has {n} elements, more than the limit {limit}")
 
 
 def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):

@@ -7,6 +7,28 @@ they agree before answering; a disagreement raises
 :class:`InvariantViolation`, which ``python -O`` does not strip.  A lattice
 is immutable, so ``is_modular`` and ``is_distributive`` judge each lattice
 once and keep the report on it: later calls return the same object.
+
+Each modularity and distributivity criterion first runs a certificate, a
+check in less than cubic time that proves the criterion holds; the theorem
+behind each is proved in the criterion's docstring.  Only when the
+certificate fails does the criterion's O(n³) scan run, and the scan is the
+one that names the witness, so every witness is the scan's first.  A
+modular or distributive lattice is judged with no cubic scan at all; a
+lattice that fails a criterion pays one scan for it.  (A pentagon also
+fails the diamond's certificate; the diamond scan then visits only the
+rows the certificate names.)  Costs, with J and M the join- and
+meet-irreducibles:
+
+- modular identity: the identity on covers b ⋖ c, O(covers·n) lookups;
+- pentagon: equal meets and joins along covers b ⋖ c, O(covers·n);
+- distributive identity: the identity for b in M, O(|M|·n²) lookups;
+  its dual for b in J, O(|J|·n²);
+- diamond: one sort of each row of the combined key, O(n² log n), and the
+  scan visits only the rows whose key repeats.
+
+Certificates work in row blocks of about ``TABLE_BLOCK_CELLS`` cells
+(:func:`latticekit.lattice._row_blocks`), so their scratch memory stays
+small whatever the lattice size.
 """
 
 from __future__ import annotations
@@ -18,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChainCapExceeded, InvariantViolation, NotMaximalChain, NotModular
-from .lattice import Edge, Lattice
+from .lattice import Edge, Lattice, _row_blocks
 
 DEFAULT_CHAIN_CAP = 1_000_000
 
@@ -62,7 +84,37 @@ def find_pentagon(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
     to both, and a^b = a^c, avb = avc; the sublattice is then
     {a^b, a, b, c, avb} listed bottom, side, lower, upper, top.  The witness
     is the first in the order b, then c, then a ascending.
+
+    Certificate: the search (:func:`_pentagon_scan`) runs only when some
+    cover b ⋖ c and some a have a^b = a^c and avb = avc
+    (:func:`_pentagon_on_covers`, O(covers·n) comparisons).  Such a cover
+    is a pentagon, as b < c with equal meets and joins makes a incomparable
+    to both: a <= b would give avb = b but avc = c; b <= a would give
+    a = avb = avc >= c, so a^c = c, yet a^c = a^b = b; a <= c gives
+    a = a^c = a^b <= b, and c <= a gives b <= a.  And every pentagon
+    (a, b, c) gives one on a cover: take a lower cover b' of c with b <= b'
+    (c covers some element of the interval [b, c], as b < c).  Then
+    a^b <= a^b' <= a^c = a^b and avb <= avb' <= avc = avb.
     """
+    if not _pentagon_on_covers(l):
+        return None
+    return _pentagon_scan(l)
+
+
+def _pentagon_on_covers(l: Lattice) -> bool:
+    """Whether some cover b ⋖ c (rows) and some a (columns) have equal
+    meets and joins with b and with c."""
+    meet, join = l.meet, l.join
+    lower, upper = np.nonzero(l.poset.covers_matrix)
+    for part in _row_blocks(len(lower), l.n):
+        b, c = lower[part], upper[part]
+        if ((meet[b] == meet[c]) & (join[b] == join[c])).any():
+            return True
+    return False
+
+
+def _pentagon_scan(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
+    """The first pentagon over all b < c, in :func:`find_pentagon`'s order."""
     comparable = l.leq | l.leq.T
     key = l.meet.astype(np.int32) * l.n + l.join
     for b in range(l.n):
@@ -89,10 +141,41 @@ def find_diamond(l: Lattice) -> Optional[tuple[str, str, str, str, str]]:
     Encoded by a triple of pairwise incomparable elements with all three
     pairwise meets equal and all three pairwise joins equal.  The witness
     is the first in the order a, then b > a, then c ascending.
+
+    Certificate: a diamond (a, b, c) has key[a, b] = key[a, c] with b != c,
+    both incomparable to a, so the search (:func:`_diamond_scan`) visits
+    only the rows a whose key repeats among the elements incomparable to a
+    (:func:`_repeating_rows`, one sort per row, O(n² log n)).  No other row
+    holds a witness, so the first witness is unchanged, and with no such
+    row there is no scan.  A distributive lattice has none: a^b = a^c and
+    avb = avc give b = c there.
     """
+    rows = _repeating_rows(l)
+    if not rows.size:
+        return None
+    return _diamond_scan(l, rows)
+
+
+def _repeating_rows(l: Lattice) -> np.ndarray:
+    """The rows a, ascending, where key[a, x] takes some value twice among
+    the x incomparable to a."""
+    n = l.n
+    leq = l.leq
+    distinct = -1 - np.arange(n, dtype=np.int32)  # below every key, one per column
+    found = []
+    for rows in _row_blocks(n, n):
+        key = l.meet[rows].astype(np.int32) * n + l.join[rows]
+        key = np.where(leq[rows] | leq[:, rows].T, distinct, key)
+        key.sort(axis=1)
+        found.append(np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1)) + rows.start)
+    return np.concatenate(found)
+
+
+def _diamond_scan(l: Lattice, rows: np.ndarray) -> Optional[tuple[str, str, str, str, str]]:
+    """The first diamond whose a is in ``rows``, in :func:`find_diamond`'s order."""
     comparable = l.leq | l.leq.T
     key = l.meet.astype(np.int32) * l.n + l.join
-    for a in range(l.n):
+    for a in rows.tolist():
         side = np.nonzero(~comparable[a])[0]
         later = side[side > a]
         if not later.size:
@@ -164,6 +247,39 @@ class ModularityReport:
 
 
 def _modular_identity_violation(l: Lattice):
+    """The first (a, b, c) with b <= c and b v (a ^ c) != (b v a) ^ c, as
+    names, or None.
+
+    Certificate: the scan over all b <= c (:func:`_modular_identity_scan`)
+    runs only when the identity fails on some cover b ⋖ c
+    (:func:`_modular_on_covers`, O(covers·n) lookups).  If it fails at some
+    b <= c, the lattice is not modular, so by Dedekind's theorem it holds a
+    pentagon, and by the argument in :func:`find_pentagon` one (a, b', c)
+    with b' ⋖ c.  The identity fails there: b' v (a ^ c) = b' v (a ^ b') =
+    b', while (b' v a) ^ c = (a v c) ^ c = c.
+    """
+    if _modular_on_covers(l):
+        return None
+    return _modular_identity_scan(l)
+
+
+def _modular_on_covers(l: Lattice) -> bool:
+    """The modular identity on every cover b ⋖ c (rows) and every a (columns)."""
+    n = l.n
+    meet, join = l.meet, l.join
+    meet_flat, join_flat = meet.ravel(), join.ravel()
+    lower, upper = np.nonzero(l.poset.covers_matrix)
+    for part in _row_blocks(len(lower), n):
+        b, c = lower[part], upper[part]
+        lhs = join_flat.take(b[:, None] * n + meet[c])  # b v (a ^ c)
+        rhs = meet_flat.take(join[b].astype(np.intp) * n + c[:, None])  # (b v a) ^ c
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _modular_identity_scan(l: Lattice):
+    """The first violation over all b <= c: b ascending, then a, then c."""
     meet, join = l.meet, l.join
     meet_at, join_at = meet.astype(np.intp), join.astype(np.intp)
     for b in range(l.n):
@@ -224,6 +340,51 @@ class DistributivityReport:
 
 
 def _distributive_identity_violation(l: Lattice, dualized: bool = False):
+    """The first (a, b, c) with b v (a ^ c) != (b v a) ^ (b v c), meet and
+    join swapped when ``dualized``, as names, or None.
+
+    Certificate: the scan over all b (:func:`_distributive_identity_scan`)
+    runs only when the identity fails for some meet-irreducible b, one with
+    exactly one upper cover (join-irreducible, one lower cover, when
+    ``dualized``): :func:`_distributive_on_irreducibles`, O(|M|·n²)
+    lookups.  The proof is written for the identity; the dual identity's is
+    the same with the order reversed.
+
+    Let m be meet-irreducible and a ^ c <= m.  The identity gives
+    m = m v (a ^ c) = (m v a) ^ (m v c), so m = m v a or m = m v c, that is
+    a <= m or c <= m: m is meet-prime.  Map each x to the set of
+    meet-irreducibles above it.  Joins go to intersections in every
+    lattice; with every meet-irreducible meet-prime, meets go to unions.
+    The map is one-to-one, since in a finite lattice every x is the meet of
+    the meet-irreducibles above it.  So the lattice is isomorphic to a
+    family of sets closed under union and intersection, which is
+    distributive, and the identity holds for every b.
+    """
+    if _distributive_on_irreducibles(l, dualized):
+        return None
+    return _distributive_identity_scan(l, dualized)
+
+
+def _distributive_on_irreducibles(l: Lattice, dualized: bool) -> bool:
+    """The distributive identity (its dual when ``dualized``) for every b
+    with one upper cover (one lower cover), every a (rows) and every c
+    (columns)."""
+    n = l.n
+    meet, join = (l.join, l.meet) if dualized else (l.meet, l.join)
+    irreducible = np.flatnonzero(l.poset.covers_matrix.sum(axis=0 if dualized else 1) == 1)
+    blocks = _row_blocks(n, n)
+    for b in irreducible.tolist():
+        jb = join[b]
+        for rows in blocks:
+            lhs = jb.take(meet[rows])  # b v (a ^ c)
+            rhs = meet.take(jb[rows], axis=0).take(jb, axis=1)  # (b v a) ^ (b v c)
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
+def _distributive_identity_scan(l: Lattice, dualized: bool = False):
+    """The first violation over all b: b ascending, then (a, c) row-major."""
     meet, join = (l.join, l.meet) if dualized else (l.meet, l.join)
     meet_at, join_at = meet.astype(np.intp), join.astype(np.intp)
     for b in range(l.n):

@@ -67,6 +67,16 @@ def test_criterion_2_birkhoff_roundtrip(case_n1, case_n2):
     )
 
 
+def test_criterion_2_boolean_roundtrip_budget():
+    l = catalog.boolean_lattice(10)
+    t0 = time.perf_counter()
+    rep = lk.birkhoff_roundtrip(l)
+    elapsed = time.perf_counter() - t0
+    assert rep.ok
+    assert elapsed < 5.0, f"B10 roundtrip took {elapsed:.2f}s"
+    report(f"criterion 2: J(irr(B10)) = B10 (1024 elements) in {elapsed:.2f}s")
+
+
 def test_criterion_3_second_case(case_n2_spec):
     core = lk.reconstruct(case_n2_spec)
     assert core.n == 18

@@ -96,6 +96,25 @@ class TestCheck:
         code, _, err = run(capsys, "check", bad, "--property", "modular")
         assert code == 2 and "join" in err
 
+    def test_limit(self, capsys):
+        # divisor12.json has 6 elements: 5 is below it, 6 admits it
+        code, out, err = run(
+            capsys, "--limit", "5", "check", FIXTURES / "divisor12.json", "--property", "graded"
+        )
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 6 elements, more than the limit 5\n"
+        code, out, _ = run(
+            capsys, "--limit", "6", "check", FIXTURES / "divisor12.json", "--property", "graded"
+        )
+        assert code == 0 and "degree 3" in out
+
+    def test_limit_env_checked_before_tables(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.io, "as_lattice", lambda p: pytest.fail("tables built"))
+        monkeypatch.setenv("LATTICE_LIMIT", "4")
+        code, out, err = run(capsys, "check", FIXTURES / "m3.json", "--property", "modular")
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 5 elements, more than the limit 4\n"
+
 
 
 class TestMalformedPosetFiles:
@@ -127,6 +146,16 @@ class TestMalformedPosetFiles:
         code, out, err = run(capsys, "check", bad, "--property", "modular")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "verb",
+        [("check", "{}", "--property", "modular"), ("birkhoff", "irr", "{}"), ("birkhoff", "roundtrip", "{}")],
+    )
+    def test_no_elements(self, capsys, tmp_path, verb):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"elements": [], "covers": []}))
+        code, out, err = run(capsys, *(a.format(empty) for a in verb))
+        assert (code, out, err) == (2, "", "error: lattice has no elements\n")
 
     def test_spec_file_is_not_a_poset(self, capsys):
         code, _, err = run(
@@ -437,6 +466,17 @@ class TestFreedist:
     def test_dnf_syntax_error(self, capsys):
         code, _, err = run(capsys, "freedist", "dnf", "P1 &")
         assert code == 2 and "offset 4" in err
+
+    def test_generate_limit(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(fd, "set_family_tables", lambda m: pytest.fail("tables built"))
+        out_path = tmp_path / "free3.json"
+        code, out, err = run(
+            capsys, "--limit", "19", "freedist", "generate", "--n", "3", "--extended",
+            "--out", out_path,
+        )
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 20 elements, more than the limit 19\n"
+        assert not out_path.exists()
 
     def test_generate(self, capsys, tmp_path):
         out_path = tmp_path / "free3.json"

@@ -648,6 +648,7 @@ class TestConstructorAloneVerifies:
         with pytest.raises(lk.NotALattice) as exc:
             lk.Lattice(p, zeros, zeros)
         assert (exc.value.kind, exc.value.candidates) == (kind, candidates)
+        assert exc.value.pair is None and str(exc.value) == f"no unique {kind}: candidates []"
 
     def test_two_bottoms_on_trusted_tables(self, monkeypatch):
         monkeypatch.setattr(lattice_module, "VERIFY_LIMIT", -1)
@@ -656,3 +657,4 @@ class TestConstructorAloneVerifies:
         with pytest.raises(lk.NotALattice) as exc:
             lk.Lattice(p, zeros, zeros)
         assert (exc.value.kind, exc.value.candidates) == ("bottom", ["a", "b"])
+        assert str(exc.value) == "no unique bottom: candidates ['a', 'b']"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from conftest import (
     CATALOG,
     FIXTURES,
     distributive_fixture_lattices,
+    product_lattice,
     reference_distributive_identity_violation,
     reference_find_diamond,
     reference_find_pentagon,
@@ -272,16 +274,41 @@ def assert_partition_matches(l):
     )
 
 
+def reference_witnesses(l):
+    """The five criteria's witnesses (or None) by the conftest references."""
+    return (
+        reference_modular_identity_violation(l),
+        reference_find_pentagon(l),
+        reference_distributive_identity_violation(l),
+        reference_distributive_identity_violation(l, dualized=True),
+        reference_find_diamond(l),
+    )
+
+
 def assert_witnesses_match(l):
-    """Exact identity witnesses (or None) on ``l`` and its dual."""
+    """Exact witnesses (or None) of all five criteria on ``l`` and its dual,
+    with the certificates' row blocks at both sizes.  Each certificate
+    passes exactly when its criterion holds, and the diamond's rows hold
+    the a of the first diamond."""
     for x in (l, l.dual):
-        assert properties._modular_identity_violation(
-            x
-        ) == reference_modular_identity_violation(x)
-        for dualized in (False, True):
-            assert properties._distributive_identity_violation(
-                x, dualized
-            ) == reference_distributive_identity_violation(x, dualized)
+        expected = reference_witnesses(x)
+        modular, pentagon, distributive, dual, diamond = expected
+        for cells in BLOCK_CELLS:
+            with table_blocks(cells):
+                assert (
+                    properties._modular_identity_violation(x),
+                    lk.find_pentagon(x),
+                    properties._distributive_identity_violation(x),
+                    properties._distributive_identity_violation(x, True),
+                    lk.find_diamond(x),
+                ) == expected
+                assert properties._modular_on_covers(x) == (modular is None)
+                assert properties._pentagon_on_covers(x) == (pentagon is not None)
+                assert properties._distributive_on_irreducibles(x, False) == (distributive is None)
+                assert properties._distributive_on_irreducibles(x, True) == (dual is None)
+                rows = properties._repeating_rows(x).tolist()
+                assert diamond is None or x.index(diamond[1]) in rows
+                assert not rows or distributive is not None
 
 
 class TestIntervalClassesMatchUnionFind:
@@ -335,6 +362,91 @@ class TestIdentityWitnessesMatchReference:
 
     def test_b1(self):
         assert_witnesses_match(catalog.boolean_lattice(1))
+
+
+# -- cubic scans only where a certificate fails -------------------------------------
+
+
+SCANS = {
+    "_modular_identity_scan": lambda l: "modular_identity",
+    "_pentagon_scan": lambda l: "pentagon",
+    "_distributive_identity_scan": lambda l, dualized=False: (
+        "dual_identity" if dualized else "distributive_identity"
+    ),
+    "_diamond_scan": lambda l, rows: "diamond",
+}
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts of the full scans run, by criterion."""
+    counts = Counter()
+
+    def counted(name, scan):
+        def run(*args):
+            counts[SCANS[name](*args)] += 1
+            return scan(*args)
+
+        return run
+
+    for name in SCANS:
+        monkeypatch.setattr(properties, name, counted(name, getattr(properties, name)))
+    return counts
+
+
+def fresh(l):
+    """``l`` with no stored verdicts."""
+    return lk.Lattice(l.poset, l.meet, l.join)
+
+
+def ideals(names, covers):
+    return lk.ideals_lattice(lk.build_poset(names, covers)).lattice
+
+
+VEE = (["x", "y", "z"], [("x", "z"), ("y", "z")])
+
+DISTRIBUTIVE = {
+    "J(vee)": lambda: ideals(*VEE),
+    "J(N)": lambda: ideals(["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("s", "r")]),
+    "B8": lambda: catalog.boolean_lattice(8),
+    **{f"FD{k}": lambda k=k: fd.generate_lattice(k) for k in range(1, 5)},
+    **{f"FD{k}_extended": lambda k=k: fd.generate_lattice(k, extended=True) for k in range(1, 5)},
+}
+
+
+class TestScansRunOnlyWhereCertificatesFail:
+    @pytest.mark.parametrize("name", sorted(DISTRIBUTIVE))
+    def test_none_on_distributive_lattices(self, scans, name):
+        l = fresh(DISTRIBUTIVE[name]())
+        assert lk.is_distributive(l).distributive and lk.is_modular(l).modular
+        assert scans == {}
+
+    def test_none_on_the_case_studies(self, scans, case_n1, case_n2):
+        for case in (case_n1, case_n2):
+            assert lk.is_distributive(fresh(case.lattice)).distributive
+        assert scans == {}
+
+    def test_one_per_failing_criterion_on_m3_products(self, scans):
+        l = product_lattice(catalog.diamond(), ideals(*VEE))
+        rep = lk.is_distributive(l)
+        assert lk.is_modular(l).modular and not rep.distributive
+        assert rep.diamond == reference_find_diamond(l)
+        assert scans == {"distributive_identity": 1, "dual_identity": 1, "diamond": 1}
+
+    def test_one_per_failing_criterion_on_n5_products(self, scans):
+        # a pentagon's side a repeats a key in row a, so the diamond's
+        # certificate fails too, and its scan finds no diamond
+        l = product_lattice(catalog.pentagon(), ideals(*VEE))
+        rep = lk.is_distributive(l)
+        assert not lk.is_modular(l).modular and rep.diamond is None
+        assert rep.pentagon == reference_find_pentagon(l)
+        assert scans == {
+            "modular_identity": 1,
+            "pentagon": 1,
+            "distributive_identity": 1,
+            "dual_identity": 1,
+            "diamond": 1,
+        }
 
 
 # -- verdicts computed once per lattice -------------------------------------------
