@@ -15,15 +15,11 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidArgument,
-    InvariantViolation,
-    NotDistributive,
-    SizeLimitExceeded,
-    UnknownElement,
-)
+from .errors import InvalidArgument, InvariantViolation, NotDistributive, UnknownElement
 from .freedist import _mask_indices
-from .lattice import Edge, Lattice, _pair_lookup, join_irreducibles, set_family_tables
+from .lattice import (
+    Edge, Lattice, _check_limit, _pair_lookup, join_irreducibles, set_family_tables
+)
 from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
@@ -215,7 +211,16 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     base; when I ∪ c is a node, it is an old one (it holds c, I does not),
     and so is I ∪ w = (I ∪ c) ∪ w.  Closing from the covers of the base is
     therefore enough: no further sweep for missing joins is needed.
+
+    No snapshot outgrows J(P), so J(P) is counted and gated up front
+    (:class:`SizeLimitExceeded` past ``cap`` or the int16 tables' size):
+    every node is a down-set of P.  A start node is a set of minimal
+    elements, a down-set since nothing lies below them; an adjoined node is
+    down(x); the closure adds unions of nodes, and unions of down-sets are
+    down-sets.  Nodes are distinct rows, so there are at most |J(P)|.
     """
+    ideals = order_ideal_masks(p, cap)
+    _check_limit(len(ideals))
     n = p.n
     down = _pack_rows(p.leq.T)
     strict = p.leq.T & ~np.eye(n, dtype=bool)  # strict[x]: the elements below x
@@ -228,8 +233,6 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     nodes = _canonical_rows(_pack_rows(subsets))
 
     def snapshot(description):
-        if len(nodes) > cap:
-            raise SizeLimitExceeded(f"construction grew past {cap} nodes")
         steps.append(_snapshot(p, nodes, description))
 
     snapshot(
@@ -256,7 +259,7 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
             )
         processed[x] = True
 
-    if not np.array_equal(nodes, order_ideal_masks(p, cap)):
+    if not np.array_equal(nodes, ideals):
         raise InvariantViolation("construction did not converge to J(P)")
     return ConstructionTrace(tuple(steps))
 

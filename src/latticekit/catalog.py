@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import random
 
-from .lattice import Lattice, as_lattice
+import numpy as np
+
+from .lattice import Lattice, as_lattice, set_family_tables
 from .poset import Poset, build_poset
 
 
@@ -22,22 +24,23 @@ def antichain_poset(k: int) -> Poset:
     return build_poset([f"x{i}" for i in range(1, k + 1)], [])
 
 
+def _boolean_family(n: int) -> tuple[np.ndarray, list[str]]:
+    """The subsets of [n] as masks in (size, mask) order, smallest dtype, and their names."""
+    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+    names = ["{" + ",".join(str(i + 1) for i in range(n) if m >> i & 1) + "}" for m in masks]
+    return np.array(masks, dtype=np.min_scalar_type(len(masks) - 1)), names
+
+
 def boolean_poset(n: int) -> Poset:
     """All subsets of [n] ordered by inclusion; names like ``{1,3}``."""
-    def name(mask):
-        return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
-
-    masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    covers = []
-    for m in masks:
-        for i in range(n):
-            if not m >> i & 1:
-                covers.append((name(m), name(m | 1 << i)))
-    return build_poset([name(m) for m in masks], covers)
+    masks, names = _boolean_family(n)
+    return Poset(names, (masks[:, None] & ~masks) == 0)
 
 
 def boolean_lattice(n: int) -> Lattice:
-    return as_lattice(boolean_poset(n))
+    masks, names = _boolean_family(n)
+    leq, meet, join = set_family_tables(masks.astype(np.uint64)[:, None])
+    return Lattice(Poset(names, leq), meet, join)
 
 
 def pentagon_poset() -> Poset:
@@ -137,10 +140,4 @@ def random_lattice(
             continue
         members = sorted(closed, key=lambda s: (len(s), sorted(s)))
         names = ["s" + "".join(str(i) for i in sorted(s)) for s in members]
-        pairs = [
-            (names[i], names[j])
-            for i, a in enumerate(members)
-            for j, b in enumerate(members)
-            if i != j and a < b
-        ]
-        return as_lattice(build_poset(names, pairs, warn_redundant=False))
+        return as_lattice(Poset(names, [[a <= b for b in members] for a in members]))

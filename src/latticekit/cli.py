@@ -5,8 +5,10 @@ factors.  JSON in, JSON/DOT out.  Exit codes: 0 success (or property
 true), 1 property false (check verbs), 2 input error, 3 size limit,
 4 invariant violated (equivalent criteria disagreed: a latticekit defect,
 not an input error).
-The environment variable LATTICE_LIMIT overrides enumeration caps
-globally; ``--limit`` overrides it per invocation.
+``--limit N`` (else LATTICE_LIMIT, else 10 000 000), a positive integer,
+caps the elements of every lattice a verb reads or builds, and every poset
+file holds at most the 32 767 elements of int16 tables; larger inputs exit
+3 before any n×n array exists.
 """
 
 from __future__ import annotations
@@ -33,14 +35,17 @@ FREE_LATTICE_SIZES = {1: 3, 2: 6, 3: 20, 4: 168}
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    limit = args.limit
+    limit, source = args.limit, "--limit"
     if limit is None:
-        env = os.environ.get("LATTICE_LIMIT")
+        env, source = os.environ.get("LATTICE_LIMIT"), "LATTICE_LIMIT"
         try:
             limit = int(env) if env else DEFAULT_IDEAL_CAP
         except ValueError:
             print(f"input error: LATTICE_LIMIT must be an integer, not {env!r}", file=sys.stderr)
             return 2
+    if limit < 1:
+        print(f"input error: {source} must be a positive integer, not {limit}", file=sys.stderr)
+        return 2
     try:
         return args.func(args, limit)
     except SizeLimitExceeded as exc:
@@ -64,9 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="latticekit",
         description="finite poset and lattice computations on JSON files",
     )
-    parser.add_argument(
-        "--limit", type=int, default=None, help="override enumeration caps"
-    )
+    parser.add_argument("--limit", type=int, help="most elements a lattice may have")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="test a lattice property, exit 0/1")
@@ -220,7 +223,7 @@ def _cmd_birkhoff_ideals(args, limit) -> int:
 
 
 def _cmd_birkhoff_irr(args, limit) -> int:
-    l = io.read_lattice(args.file)
+    l = io.read_lattice(args.file, limit)
     p = birkhoff.irreducible_poset(l)
     print(f"{p.n} join irreducibles: {', '.join(p.names)}")
     for a, b in p.cover_names():
@@ -232,7 +235,7 @@ def _cmd_birkhoff_irr(args, limit) -> int:
 
 
 def _cmd_birkhoff_roundtrip(args, limit) -> int:
-    l = io.read_lattice(args.file)
+    l = io.read_lattice(args.file, limit)
     rep = birkhoff.birkhoff_roundtrip(l)
     print(f"roundtrip: {'ok' if rep.ok else 'FAILED'}")
     return 0 if rep.ok else 1
@@ -319,7 +322,7 @@ def _cmd_render(args, limit) -> int:
 
 
 def _cmd_factors(args, limit) -> int:
-    ll = io.read_labeled_lattice(args.file)
+    ll = io.read_labeled_lattice(args.file, limit)
     counts = element_factors(ll, args.element)
     parts = []
     for label in sorted(counts):

@@ -30,6 +30,7 @@ from .poset import Poset
 
 GENERATE_CAP = 5
 COUNT_CAP = 6
+CHECK_CAP = 4  # generators for check_self_dual and meets_distinct
 
 
 def _mask_indices(m: int) -> tuple[int, ...]:
@@ -308,9 +309,7 @@ def _incomparability_masks(n: int) -> list[int]:
     return masks
 
 
-def generate_lattice(
-    n: int, extended: bool = False, cap: int = GENERATE_CAP, *, limit: Optional[int] = None
-) -> Lattice:
+def generate_lattice(n: int, extended: bool = False, *, limit: Optional[int] = None) -> Lattice:
     """Materialize the free distributive lattice on n generators.
 
     Order, meet and join come from truth tables (subset / and / or);
@@ -319,9 +318,9 @@ def generate_lattice(
     than ``limit`` elements raise SizeLimitExceeded once they are
     enumerated, before the tables are built.
     """
-    if n > cap:
+    if n > GENERATE_CAP:
         raise SizeLimitExceeded(
-            f"generate_lattice capped at n={cap}; use dedekind_count for counts"
+            f"generate_lattice capped at n={GENERATE_CAP}; use dedekind_count for counts"
         )
     if n < 1:
         raise InvalidArgument(f"need at least one generator (got n={n})")
@@ -399,12 +398,12 @@ def monotone_function_count(n: int) -> int:
 # -- structural checks ---------------------------------------------------------------
 
 
-def check_self_dual(n: int, cap: int = 4) -> dict[str, str]:
+def check_self_dual(n: int) -> dict[str, str]:
     """Witness isomorphism between the restricted lattice and its dual."""
     from .birkhoff import lattice_isomorphic
 
-    if n > cap:
-        raise SizeLimitExceeded(f"self-duality check capped at n={cap}")
+    if n > CHECK_CAP:
+        raise SizeLimitExceeded(f"self-duality check capped at n={CHECK_CAP}")
     l = generate_lattice(n, extended=False)
     iso = lattice_isomorphic(l, l.dual)
     if iso is None:
@@ -419,13 +418,13 @@ class MeetsReport:
     irreducible_names: tuple[str, ...]
 
 
-def meets_distinct(n: int, cap: int = 4) -> MeetsReport:
+def meets_distinct(n: int) -> MeetsReport:
     """All 2^n - 1 generator meets are pairwise distinct and are exactly
     the join irreducibles of the restricted lattice (bottom included)."""
     from .lattice import join_irreducibles
 
-    if n > cap:
-        raise SizeLimitExceeded(f"meet-distinctness check capped at n={cap}")
+    if n > CHECK_CAP:
+        raise SizeLimitExceeded(f"meet-distinctness check capped at n={CHECK_CAP}")
     gens = [generator(n, i) for i in range(1, n + 1)]
     meets = []
     for mask in range(1, 1 << n):

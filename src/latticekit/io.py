@@ -39,13 +39,14 @@ def poset_to_dict(p: Poset, labels: Optional[dict] = None) -> dict:
     return out
 
 
-def poset_from_dict(data: dict) -> tuple[Poset, dict]:
+def poset_from_dict(data: dict, limit: Optional[int] = None) -> tuple[Poset, dict]:
     """Poset and edge labels from the shape above.
 
     Raises :class:`InvalidSpec` naming the first field that does not fit
     it: ``data`` must be an object with an ``elements`` list of distinct
     names and a ``covers`` list of [lower, upper] pairs; ``labels``, when
-    present, an object of strings keyed ``lower|upper``.
+    present, an object of strings keyed ``lower|upper``.  The element
+    count goes through ``lattice._check_limit`` before the poset is built.
     """
     if not isinstance(data, dict):
         raise InvalidSpec(f"poset file must hold a JSON object, not {type(data).__name__}")
@@ -77,13 +78,14 @@ def poset_from_dict(data: dict) -> tuple[Poset, dict]:
         if not isinstance(lab, str):
             raise InvalidSpec(f"'labels' value for {key!r} must be a string, not {lab!r}")
         labels[(a, b)] = lab
+    _check_limit(len(data["elements"]), limit)
     p = build_poset(data["elements"], [tuple(c) for c in data["covers"]])
     return p, labels
 
 
-def read_poset(path: PathLike) -> tuple[Poset, dict]:
+def read_poset(path: PathLike, limit: Optional[int] = None) -> tuple[Poset, dict]:
     with open(path, encoding="utf-8") as fh:
-        return poset_from_dict(json.load(fh))
+        return poset_from_dict(json.load(fh), limit)
 
 
 def write_poset(path: PathLike, p: Poset, labels: Optional[dict] = None) -> None:
@@ -95,14 +97,13 @@ def write_poset(path: PathLike, p: Poset, labels: Optional[dict] = None) -> None
 
 def read_lattice(path: PathLike, limit: Optional[int] = None) -> Lattice:
     """Load a poset file and validate lattice-ness.  A file of more than
-    ``limit`` elements raises SizeLimitExceeded before any table is built."""
-    p, _ = read_poset(path)
-    _check_limit(p.n, limit)
+    ``limit`` elements raises SizeLimitExceeded before the poset is built."""
+    p, _ = read_poset(path, limit)
     return as_lattice(p)
 
 
-def read_labeled_lattice(path: PathLike) -> LabeledLattice:
-    p, labels = read_poset(path)
+def read_labeled_lattice(path: PathLike, limit: Optional[int] = None) -> LabeledLattice:
+    p, labels = read_poset(path, limit)
     ll = LabeledLattice(as_lattice(p), labels)
     ll.validate()
     return ll

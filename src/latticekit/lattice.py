@@ -119,8 +119,8 @@ class Lattice:
 
     def _verify(self):
         """Check that ``meet`` and ``join`` are the glb and lub of ``leq``:
-        table entries in range, bounds, the lub/glb universal property,
-        absorption and the three-way equivalence b<=a <=> a^b=b <=> avb=a.
+        entries in range, bounds, the lub/glb universal property, absorption,
+        b<=a <=> a^b=b <=> avb=a, and antisymmetry, which a preorder's tables fail alone.
 
         Costs O(n² + covers·n): the universal property is proved by
         :meth:`_lattice_laws_hold`, and the O(n³/64) pair scan
@@ -155,6 +155,8 @@ class Lattice:
             raise NotALattice(("<table>", "<table>"), [], "meet-order")
         if not ((join == index[:, None]) == self.leq.T).all():
             raise NotALattice(("<table>", "<table>"), [], "join-order")
+        if (self.leq & self.leq.T & ~np.eye(n, dtype=bool)).any():
+            raise NotALattice(("<table>", "<table>"), [], "antisymmetry")
 
     def _lattice_laws_hold(self) -> bool:
         """A sufficient condition, in O(n² + covers·n), for up(a) ∩ up(b) =
@@ -266,7 +268,7 @@ def as_lattice(p: Poset) -> Lattice:
     n = p.n
     if n == 0:
         raise NotALattice(None, [], "empty")
-    _check_table_size(n)
+    _check_limit(n)
     meet = np.empty((n, n), dtype=np.int16)
     join = np.empty((n, n), dtype=np.int16)
     bad = np.zeros(n, dtype=bool)
@@ -282,19 +284,14 @@ def as_lattice(p: Poset) -> Lattice:
     return Lattice(p, meet, join)
 
 
-def _check_table_size(n: int) -> None:
-    """Raise :class:`SizeLimitExceeded` when n elements overflow int16 tables."""
-    if n > TABLE_LIMIT:
-        raise SizeLimitExceeded(
-            f"meet/join tables hold at most {TABLE_LIMIT} elements (got {n})"
-        )
-
-
-def _check_limit(n: int, limit: Optional[int]) -> None:
-    """Raise :class:`SizeLimitExceeded` when n elements exceed ``limit``
-    (None for no limit); callers check before building tables."""
+def _check_limit(n: int, limit: Optional[int] = None) -> None:
+    """The one size gate: raise :class:`SizeLimitExceeded` when n elements
+    exceed ``limit`` (None for no limit) or overflow int16 tables.  Every
+    input reaches it before anything n×n is allocated."""
     if limit is not None and n > limit:
         raise SizeLimitExceeded(f"lattice has {n} elements, more than the limit {limit}")
+    if n > TABLE_LIMIT:
+        raise SizeLimitExceeded(f"meet/join tables hold at most {TABLE_LIMIT} elements (got {n})")
 
 
 def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):
@@ -355,7 +352,7 @@ def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     """
     members = np.ascontiguousarray(members, dtype=np.uint64)
     m = len(members)
-    _check_table_size(m)
+    _check_limit(m)
     if len(np.unique(_set_keys(members))) < m:
         raise ValueError("set family has a repeated member")
     meet = np.empty((m, m), dtype=np.int16)

@@ -207,24 +207,25 @@ class SemimodularReport:
     chain_witness: Optional[tuple[list[str], list[str]]] = None
 
 
-def _degree_excess(l: Lattice) -> Optional[np.ndarray]:
-    """rho(a) + rho(b) - rho(avb) - rho(a^b) for all pairs; None if not graded."""
-    if l.grading.graded:
-        rho = np.array([l.grading.degree[x] for x in l.names])
-        return rho[:, None] + rho - rho[l.join.astype(int)] - rho[l.meet.astype(int)]
+def _first_degree_excess(l: Lattice, wrong) -> Optional[tuple[str, str]]:
+    """The first pair (a, b), row-major, whose degree excess e = rho(a) + rho(b)
+    - rho(avb) - rho(a^b) has ``wrong(e, 0)``, or None; ``l`` is graded."""
+    rho = np.array([l.grading.degree[x] for x in l.names], dtype=np.int32)
+    for rows in _row_blocks(l.n, l.n):
+        excess = rho[rows, None] + rho - rho.take(l.join[rows]) - rho.take(l.meet[rows])
+        bad = wrong(excess, 0).ravel()
+        first = int(bad.argmax())  # row-major, so the first wrong pair if any
+        if bad[first]:
+            return l.names[rows.start + first // l.n], l.names[first % l.n]
     return None
 
 
 def is_upper_semimodular(l: Lattice) -> SemimodularReport:
     """Graded with rho(a) + rho(b) >= rho(avb) + rho(a^b) for all pairs."""
-    excess = _degree_excess(l)
-    if excess is None:
+    if not l.grading.graded:
         return SemimodularReport(False, False, chain_witness=l.grading.witness)
-    bad = np.argwhere(excess < 0)
-    if bad.size:
-        a, b = (int(v) for v in bad[0])
-        return SemimodularReport(False, True, violation=(l.names[a], l.names[b]))
-    return SemimodularReport(True, True)
+    bad = _first_degree_excess(l, np.less)
+    return SemimodularReport(bad is None, True, violation=bad)
 
 
 # -- modularity ------------------------------------------------------------------
@@ -314,10 +315,9 @@ def is_modular(l: Lattice) -> ModularityReport:
     """
     violation = _modular_identity_violation(l)
     pentagon = find_pentagon(l)
-    excess = _degree_excess(l)
     criteria = {
         "identity": violation is None,
-        "degree": excess is not None and not excess.any(),
+        "degree": l.grading.graded and _first_degree_excess(l, np.not_equal) is None,
         "pentagon_free": pentagon is None,
     }
     _check_agreement("modularity", criteria, violation=violation, pentagon=pentagon)

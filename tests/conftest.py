@@ -216,7 +216,8 @@ def reference_verify(poset, meet, join):
     """Pair-loop reference for ``Lattice._verify`` on in-range tables:
     bounds (joins, then meets), then for a ascending the first b whose
     common upper bounds are not up(join[a, b]) (then the same for lower
-    bounds and meets), then absorption and the two order equivalences.
+    bounds and meets), then absorption, the two order equivalences and
+    antisymmetry.
     Raises the NotALattice the library documents, or returns None."""
     n = poset.n
     leq = poset.leq
@@ -249,6 +250,8 @@ def reference_verify(poset, meet, join):
         raise lk.NotALattice(table, [], "meet-order")
     if not all((join[a, b] == a) == leq[b, a] for a, b in pairs):
         raise lk.NotALattice(table, [], "join-order")
+    if any(leq[a, b] and leq[b, a] for a, b in pairs if a != b):
+        raise lk.NotALattice(table, [], "antisymmetry")
 
 
 def reference_bounds(l):

@@ -116,6 +116,84 @@ class TestCheck:
         assert err == "size limit: lattice has 5 elements, more than the limit 4\n"
 
 
+def write_poset(path, elements, covers=()):
+    path.write_text(json.dumps({"elements": elements, "covers": list(covers)}))
+    return path
+
+
+class TestSizeGate:
+    """Every verb that reads a lattice honours ``--limit``; larger inputs exit
+    3 before any n×n array exists."""
+
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ("check", "{}", "--property", "modular"),
+            ("birkhoff", "irr", "{}"),
+            ("birkhoff", "roundtrip", "{}"),
+        ],
+    )
+    def test_lattice_verbs(self, capsys, verb):
+        # divisor12.json has 6 elements
+        argv = [a.format(FIXTURES / "divisor12.json") for a in verb]
+        code, out, err = run(capsys, "--limit", "2", *argv)
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 6 elements, more than the limit 2\n"
+        code, _, _ = run(capsys, "--limit", "6", *argv)
+        assert code == 0
+
+    def test_factors(self, capsys, tmp_path):
+        bounded = tmp_path / "bounded.json"
+        code, _, _ = run(
+            capsys, "reconstruct", FIXTURES / "case_n2.json", "--with-bounds", "--out", bounded
+        )
+        assert code == 0 and len(json.loads(bounded.read_text())["elements"]) == 20
+        code, out, err = run(capsys, "--limit", "19", "factors", bounded, "one")
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 20 elements, more than the limit 19\n"
+        code, out, _ = run(capsys, "--limit", "20", "factors", bounded, "zero")
+        assert (code, out) == (0, "(empty)\n")
+
+    def test_long_chain_is_refused_before_the_poset_is_built(self, capsys, tmp_path, monkeypatch):
+        names = [f"c{i}" for i in range(6000)]
+        chain = write_poset(tmp_path / "chain.json", names, zip(names, names[1:]))
+        monkeypatch.setattr(cli.io, "build_poset", lambda *a, **k: pytest.fail("poset built"))
+        code, out, err = run(capsys, "--limit", "5", "check", chain, "--property", "modular")
+        assert (code, out) == (3, "")
+        assert err == "size limit: lattice has 6000 elements, more than the limit 5\n"
+
+    def test_poset_files_hold_what_tables_hold(self, capsys, tmp_path, monkeypatch):
+        wide = write_poset(tmp_path / "wide.json", [f"x{i}" for i in range(32768)])
+        monkeypatch.setattr(cli.io, "build_poset", lambda *a, **k: pytest.fail("poset built"))
+        code, out, err = run(capsys, "render", wide, "--out", tmp_path / "wide.dot")
+        assert (code, out) == (3, "")
+        assert err == "size limit: meet/join tables hold at most 32767 elements (got 32768)\n"
+
+    def test_stanley_counts_the_down_sets_first(self, capsys, tmp_path, monkeypatch):
+        # a 15-element antichain has 2^15 = 32768 down-sets, one more than tables hold
+        wide = write_poset(tmp_path / "antichain15.json", [f"x{i}" for i in range(15)])
+        monkeypatch.setattr(cli.birkhoff, "_snapshot", lambda *a: pytest.fail("snapshot taken"))
+        code, out, err = run(capsys, "stanley", wide, "--trace-dir", tmp_path / "trace")
+        assert (code, out) == (3, "")
+        assert err == "size limit: meet/join tables hold at most 32767 elements (got 32768)\n"
+        code, out, err = run(
+            capsys, "--limit", "1000", "stanley", wide, "--trace-dir", tmp_path / "trace"
+        )
+        assert (code, out) == (3, "")
+        assert err == "size limit: more than 1000 order ideals; raise the cap to proceed\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_limit_must_be_positive(self, capsys, value):
+        code, out, err = run(capsys, "--limit", value, "dedekind", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == f"input error: --limit must be a positive integer, not {value}\n"
+
+    def test_limit_env_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATTICE_LIMIT", "-3")
+        code, out, err = run(capsys, "check", FIXTURES / "m3.json", "--property", "modular")
+        assert (code, out) == (2, "")
+        assert err == "input error: LATTICE_LIMIT must be a positive integer, not -3\n"
+
 
 class TestMalformedPosetFiles:
     """Each file shape error exits 2 with a message naming the field."""

@@ -444,6 +444,35 @@ class TestSetFamilyTables:
             set_family_tables(members)
 
 
+def reference_boolean_lattice(k):
+    """B_k from its cover list through build_poset and as_lattice, the
+    construction the catalog used before it built the subset family."""
+    def name(mask):
+        return "{" + ",".join(str(i + 1) for i in range(k) if mask >> i & 1) + "}"
+
+    masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
+    covers = [(name(m), name(m | 1 << i)) for m in masks for i in range(k) if not m >> i & 1]
+    return lk.as_lattice(lk.build_poset([name(m) for m in masks], covers))
+
+
+def test_one_gate_refuses_the_limit_before_the_table_size():
+    with pytest.raises(lk.SizeLimitExceeded, match="32768 elements, more than the limit 5"):
+        lattice_module._check_limit(TABLE_LIMIT + 1, 5)
+    with pytest.raises(lk.SizeLimitExceeded, match="at most 32767 elements .got 32768"):
+        lattice_module._check_limit(TABLE_LIMIT + 1, TABLE_LIMIT + 1)
+    lattice_module._check_limit(TABLE_LIMIT, TABLE_LIMIT)
+
+
+class TestBooleanCatalog:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_cover_list_construction(self, k):
+        expected = reference_boolean_lattice(k)
+        l = catalog.boolean_lattice(k)
+        assert catalog.boolean_poset(k) == l.poset == expected.poset
+        assert np.array_equal(l.meet, expected.meet) and np.array_equal(l.join, expected.join)
+        assert (l.bottom, l.top) == (expected.bottom, expected.top)
+
+
 # -- table verification against the pair scan it replaced -----------------------
 
 

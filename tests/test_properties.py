@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,57 @@ class TestSemimodularity:
                 and lk.is_upper_semimodular(l.dual).ok
             )
             assert both == lk.is_modular(l).modular
+
+
+def reference_semimodular_violation(l):
+    """The first pair with rho(a) + rho(b) < rho(avb) + rho(a^b), row-major,
+    read off the whole n×n excess array, as the blocked pass's predecessor
+    did; "ungraded" when the lattice is not graded."""
+    if not l.grading.graded:
+        return "ungraded"
+    rho = np.array([l.grading.degree[x] for x in l.names])
+    excess = rho[:, None] + rho - rho[l.join.astype(int)] - rho[l.meet.astype(int)]
+    bad = np.argwhere(excess < 0)
+    return (l.names[bad[0, 0]], l.names[bad[0, 1]]) if bad.size else None
+
+
+def assert_degree_pass_matches_array(l):
+    expected = reference_semimodular_violation(l)
+    for cells in BLOCK_CELLS:
+        with table_blocks(cells):
+            rep = properties.is_upper_semimodular(l)
+        assert rep.graded == (expected != "ungraded")
+        assert rep.violation == (None if expected == "ungraded" else expected)
+        assert rep.ok == (expected is None)
+    return expected
+
+
+class TestDegreePassMatchesArray:
+    @settings(max_examples=60, deadline=None)
+    @given(searched_lattices(), st.booleans())
+    def test_searched_lattices(self, l, dual):
+        assert_degree_pass_matches_array(l.dual if dual else l)
+
+    def test_random_lattices_and_duals(self):
+        found = [
+            assert_degree_pass_matches_array(l)
+            for seed in range(200)
+            for l in [catalog.random_lattice(random.Random(seed), max_size=16)]
+            for l in (l, l.dual)
+        ]
+        assert sum(v not in (None, "ungraded") for v in found) >= 10
+
+    def test_scratch_memory_on_b11(self):
+        l = catalog.boolean_lattice(11)
+        assert l.grading.graded  # the grading is the lattice's, not the pass's scratch
+        tracemalloc.start()
+        try:
+            assert properties.is_upper_semimodular(l).ok
+            assert properties._first_degree_excess(l, np.not_equal) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestIntervalClasses:
