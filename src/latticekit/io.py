@@ -6,13 +6,21 @@ Poset/lattice files share one shape:
       "covers":   [["0", "a"], ...],
       "labels":   { "0|a": "g", ... } }        # optional, keyed lower|upper
 
+Files are written byte-identical to ``json.dumps(d, ensure_ascii=False,
+indent=2)`` plus a newline, but formatted directly: every string goes
+through ``json.encoder.encode_basestring``, the C routine that
+``json.dumps`` calls on a string, and the indented layout is the fixed
+one above, so the pure-Python encoder that ``indent`` forces is never run.
+
 DOT output is a digraph with edges oriented lower to upper, rankdir=BT,
-and the factor letter as edge label when present.
+and the factor letter as edge label when present; names are quoted as
+JSON strings by the same routine.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Optional, Union
 
@@ -30,11 +38,13 @@ def poset_to_dict(p: Poset, labels: Optional[dict] = None) -> dict:
         "covers": [[a, b] for a, b in p.cover_names()],
     }
     if labels:
-        for a, b in labels:
+        for (a, b), lab in labels.items():
             if "|" in a or "|" in b:
                 raise InvalidSpec(
                     "element names may not contain '|' when labels are stored"
                 )
+            if not isinstance(lab, str):
+                raise InvalidSpec(f"label of edge {a!r} -> {b!r} must be a string, not {lab!r}")
         out["labels"] = {f"{a}|{b}": lab for (a, b), lab in sorted(labels.items())}
     return out
 
@@ -89,10 +99,29 @@ def read_poset(path: PathLike, limit: Optional[int] = None) -> tuple[Poset, dict
 
 
 def write_poset(path: PathLike, p: Poset, labels: Optional[dict] = None) -> None:
-    Path(path).write_text(
-        json.dumps(poset_to_dict(p, labels), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(_dumps(poset_to_dict(p, labels)), encoding="utf-8")
+
+
+def _dumps(data: dict) -> str:
+    """``json.dumps(data, ensure_ascii=False, indent=2) + "\\n"`` for the
+    file shape above, whose names and labels are all strings."""
+
+    def block(items: list[str], brackets: str, indent: str) -> str:
+        if not items:
+            return brackets
+        inner = ",\n" + indent + "  "
+        return f"{brackets[0]}\n{indent}  {inner.join(items)}\n{indent}{brackets[1]}"
+
+    q = encode_basestring
+    pairs = [f"[\n      {q(a)},\n      {q(b)}\n    ]" for a, b in data["covers"]]
+    fields = {
+        "elements": block([q(x) for x in data["elements"]], "[]", "  "),
+        "covers": block(pairs, "[]", "  "),
+    }
+    if "labels" in data:
+        labels = [f"{q(k)}: {q(v)}" for k, v in data["labels"].items()]
+        fields["labels"] = block(labels, "{}", "  ")
+    return block([f"{q(k)}: {v}" for k, v in fields.items()], "{}", "") + "\n"
 
 
 def read_lattice(path: PathLike, limit: Optional[int] = None) -> Lattice:
@@ -113,8 +142,7 @@ def write_lattice(path: PathLike, l: Lattice, labels: Optional[dict] = None) -> 
     write_poset(path, l.poset, labels)
 
 
-def _dot_quote(text: str) -> str:
-    return json.dumps(text, ensure_ascii=False)
+_dot_quote = encode_basestring  # json.dumps(text, ensure_ascii=False) for a str
 
 
 def to_dot(p: Poset, labels: Optional[dict] = None, name: str = "lattice") -> str:

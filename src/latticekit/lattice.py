@@ -6,7 +6,10 @@ them and reads the bottom and top off the order, so no builder passes them.
 
 Every meet/join table comes from one pair lookup, :func:`_pair_lookup`:
 two packed rows combined by ``&`` or ``|``, found among the rows of a
-sorted family.  ``as_lattice`` looks up intersections of principal down-sets
+family.  One-word rows with keys below len(rows)² (the down-sets of P when
+2^|P| ≤ |J(P)|², the truth tables of FD(3)) are read off a dense index of
+every key; all others, multi-word rows and wide keys such as FD(5)'s
+32-bit truth tables, by a sorted search.  ``as_lattice`` looks up intersections of principal down-sets
 (and up-sets), ``set_family_tables`` the intersections and unions of a
 closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
 the unions of its nodes."""
@@ -303,10 +306,19 @@ def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):
     every j from the block's first row on, ``op(rows[i], rows[j])`` is
     ``family[found[i', j']]`` (i', j' counted from the block's first row),
     unless ``missing[i', j']`` is set because no family row equals it.
-    Each result is found by a sorted search on the family's keys and
-    confirmed word by word.  When a row repeats in ``family``, the lowest
-    of its indices is found.
+    When a row repeats in ``family``, the lowest of its indices is found.
+
+    One-word rows whose keys are small (see :func:`_dense_index`) are read
+    off a dense index of every key; every other result is found by a
+    sorted search on the family's keys and confirmed word by word.
     """
+    slot = _dense_index(rows, family)
+    if slot is not None:
+        words = rows[:, 0].astype(np.intp)  # below len(slot), so exact
+        for block in _row_blocks(len(rows), rows.size):
+            found = slot.take(op(words[block, None], words[block.start :]))
+            yield block, found, found < 0
+        return
     keys = _set_keys(family)
     order = np.argsort(keys, kind="stable")
     sorted_keys, sorted_rows = keys[order], family[order]
@@ -314,6 +326,27 @@ def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):
         results = op(rows[block, None], rows[None, block.start :])
         pos = np.minimum(np.searchsorted(sorted_keys, _set_keys(results)), len(order) - 1)
         yield block, order[pos], (sorted_rows.take(pos, axis=0) != results).any(axis=2)
+
+
+def _dense_index(rows: np.ndarray, family: np.ndarray) -> Optional[np.ndarray]:
+    """``slot[key]``: the lowest index of the family row ``key``, else -1.
+
+    Only for one-word rows (``family`` is as wide as ``rows``), and only
+    when the index is no larger than the lookups it serves: every ``&`` or
+    ``|`` of two rows is at most ``span - 1``, the OR of all words, and
+    ``span`` must not exceed ``len(rows)²``.  Otherwise None, and the
+    lookup searches.  Families have at most ``TABLE_LIMIT`` rows, so int16
+    holds every index.
+    """
+    if rows.shape[1] != 1:
+        return None
+    span = int(np.bitwise_or.reduce(np.concatenate([rows, family]), axis=None)) + 1
+    if span > len(rows) ** 2:
+        return None
+    slot = np.full(span, -1, dtype=np.int16)
+    keys, first = np.unique(family[:, 0].astype(np.intp), return_index=True)
+    slot[keys] = first
+    return slot
 
 
 def _raise_first_failure(p: Poset, a: int) -> None:

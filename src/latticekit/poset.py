@@ -212,32 +212,44 @@ def _closure(n, pairs, names) -> np.ndarray:
     """Boolean down-set rows of the reflexive-transitive closure of the
     (lower, upper) index pairs.
 
-    Packed rows are closed one level at a time, sources first (Kahn's
-    order): one array OR hands each level's down-sets to the elements they
-    cover.  Raises :class:`CycleDetected` on a self-pair or a cycle.
+    Packed rows are closed one level at a time, sources first (see
+    :func:`_kahn_levels`): one array OR hands each level's down-sets to the
+    elements they cover.
+    """
+    down = _pack_rows(np.eye(n, dtype=bool))
+    for edges in _kahn_levels(n, pairs, names):
+        lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        np.bitwise_or.at(down, upper, down[lower])
+    return _unpack_rows(down, n)
+
+
+def _kahn_levels(n, pairs, names) -> list[list[tuple[int, int]]]:
+    """The distinct (lower, upper) index pairs by Kahn level: level k holds
+    the pairs leaving the elements whose lower covers all lie in earlier
+    levels.  O(n + pairs).  Raises :class:`CycleDetected` on a self-pair or
+    a cycle, naming the cycle reached from the least element left unplaced.
     """
     succ = [[] for _ in range(n)]
-    pending = [0] * n  # lower covers not yet closed
+    pending = [0] * n  # lower covers not yet reached
     for a, b in dict.fromkeys(pairs):
         if a == b:
             raise CycleDetected([names[a], names[a]])
         succ[a].append(b)
         pending[b] += 1
-    down = _pack_rows(np.eye(n, dtype=bool))
+    levels = []
     level = [i for i in range(n) if pending[i] == 0]
     while level:
         edges = [(a, b) for a in level for b in succ[a]]
-        lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-        np.bitwise_or.at(down, upper, down[lower])
+        levels.append(edges)
         level = []
-        for b in upper.tolist():
+        for _, b in edges:
             pending[b] -= 1
             if pending[b] == 0:
                 level.append(b)
     if any(pending):
         cycle = _find_cycle(n, succ, pending)
         raise CycleDetected([names[i] for i in cycle])
-    return _unpack_rows(down, n)
+    return levels
 
 
 def _find_cycle(n, succ, indeg):

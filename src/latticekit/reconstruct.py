@@ -28,10 +28,11 @@ from .errors import (
     InvariantViolation,
     NotComparable,
     OrderConflict,
+    SizeLimitExceeded,
     UnknownElement,
 )
 from .lattice import add_bounds, interval_sublattice
-from .poset import DEFAULT_IDEAL_CAP, Poset, build_poset, is_isomorphic
+from .poset import DEFAULT_IDEAL_CAP, Poset, _kahn_levels, build_poset, is_isomorphic
 from .properties import is_distributive, is_multiplicity_free
 
 
@@ -183,26 +184,35 @@ def validate_spec(s: ReconstructionSpec) -> SpecReport:
             raise CoverageGap(label)
         if label not in seen_tops:
             raise CoverageGap(label)
-    known = set(names)
+    index = {name: i for i, name in enumerate(names)}
     for a, b in s.order:
-        if a not in known or b not in known:
+        if a not in index or b not in index:
             raise UnknownElement(f"order fact ({a!r}, {b!r}) names unknown modules")
     try:
-        build_poset(names, s.order, warn_redundant=False)
+        _kahn_levels(len(names), [(index[a], index[b]) for a, b in s.order], names)
     except CycleDetected as exc:
         raise InconsistentOrder(f"declared order facts are cyclic: {exc}") from exc
     return SpecReport(len(s.factors), len(s.irreducibles))
 
 
-def irreducible_order(s: ReconstructionSpec, infer: bool = False) -> Poset:
+def irreducible_order(
+    s: ReconstructionSpec, infer: bool = False, cap: int = DEFAULT_IDEAL_CAP
+) -> Poset:
     """Poset of the declared irreducibles.
 
     Declared containments are always corroborated against factor sets
     (containment of submodules forces containment of factor sets in a
     multiplicity-free module).  With ``infer=True``, strict factor-subset
     pairs are added as containments; by default they are only checked.
+
+    Its lattice of down-sets has at least k + 1 elements for k irreducibles
+    (the empty set and one down-set per irreducible), so past ``cap`` this
+    raises :class:`SizeLimitExceeded` right after :func:`validate_spec`,
+    before the order is checked or closed.
     """
     validate_spec(s)
+    if len(s.irreducibles) + 1 > cap:
+        raise SizeLimitExceeded(f"more than {cap} order ideals; raise the cap to proceed")
     fsets = {d.name: frozenset(d.factors) for d in s.irreducibles}
     for a, b in s.order:
         if not fsets[a] <= fsets[b]:
@@ -212,14 +222,18 @@ def irreducible_order(s: ReconstructionSpec, infer: bool = False) -> Poset:
                 f"of {a!r} do not occur in {b!r}",
             )
     names = [d.name for d in s.irreducibles]
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if fsets[a] == fsets[b]:
-                raise OrderConflict(
-                    (a, b),
-                    "equal factor sets: two distinct join irreducibles would "
-                    "share a head, so the module is not multiplicity free",
-                )
+    sharing: dict[frozenset, list[str]] = {}
+    for name in names:
+        sharing.setdefault(fsets[name], []).append(name)
+    # the first pair in (i, j) order: the first two names of the group
+    # whose first name comes first
+    for group in sharing.values():
+        if len(group) > 1:
+            raise OrderConflict(
+                (group[0], group[1]),
+                "equal factor sets: two distinct join irreducibles would "
+                "share a head, so the module is not multiplicity free",
+            )
     pairs = list(s.order)
     if infer:
         declared = set(pairs)
@@ -248,7 +262,7 @@ def reconstruct(
     be distributive and multiplicity free, to round-trip to the input
     poset, and to embed every declared partial edge label-preservingly.
     """
-    p = irreducible_order(s, infer=infer)
+    p = irreducible_order(s, infer=infer, cap=cap)
     top_of = {d.name: d.top for d in s.irreducibles}
 
     leq = p.leq.tolist()

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import tempfile
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog, cli
+from latticekit import io as lkio
 from latticekit.cli import main
 
 from conftest import FIXTURES
@@ -181,6 +184,29 @@ class TestSizeGate:
         )
         assert (code, out) == (3, "")
         assert err == "size limit: more than 1000 order ideals; raise the cap to proceed\n"
+
+    def test_reconstruct_counts_the_irreducibles_first(self, capsys, tmp_path, monkeypatch):
+        # J(P) of k irreducibles has at least k + 1 elements; this spec also
+        # declares an order its factors contradict and two equal factor sets
+        k = 2000
+        irreducibles = [{"name": f"m{i}", "top": f"f{i}", "factors": [f"f{i}"]} for i in range(k)]
+        irreducibles[0]["factors"] = irreducibles[1]["factors"] = ["f0", "f1"]
+        spec = {
+            "factors": [f"f{i}" for i in range(k)],
+            "irreducibles": irreducibles,
+            "order": [[f"m{i}", f"m{i + 1}"] for i in range(1, k - 1)],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        recon = importlib.import_module("latticekit.reconstruct")
+        monkeypatch.setattr(recon, "build_poset", lambda *a, **kw: pytest.fail("poset built"))
+        code, out, err = run(capsys, "--limit", "2000", "reconstruct", path)
+        assert (code, out) == (3, "")
+        assert err == "size limit: more than 2000 order ideals; raise the cap to proceed\n"
+        monkeypatch.undo()
+        code, out, err = run(capsys, "--limit", "2001", "reconstruct", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: order conflict on ('m1', 'm2')")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_limit_must_be_positive(self, capsys, value):
@@ -659,6 +685,86 @@ class TestRecognize:
         monkeypatch.setattr(fd, "dedekind_count", refuse)
         code, out, _ = run(capsys, "reconstruct", FIXTURES / "case_n2.json", "--with-bounds")
         assert code == 0 and "isomorphic to extended Λ3" in out
+
+# names that exercise JSON string escapes: quotes, backslashes, control
+# characters, the line separator U+2028 and the bounds' combining hats
+ODD_NAMES = ["0̂", 'say "x"', "back\\slash", "tab\there\n", "\x00\x1f", "line\u2028sep", "ü", "1̂"]
+
+
+def odd_lattice(k):
+    """The first k odd names as a chain, so every one is in a cover pair."""
+    names = ODD_NAMES[:k]
+    return lk.build_poset(names, zip(names, names[1:]))
+
+
+def reference_dot(p, labels=None, name="lattice"):
+    def quote(text):
+        return json.dumps(text, ensure_ascii=False)
+
+    lines = [f"digraph {quote(name)} {{", "  rankdir=BT;"]
+    lines += [f"  {quote(x)};" for x in p.names]
+    for a, b in p.cover_names():
+        attr = f" [label={quote(labels[(a, b)])}]" if labels and (a, b) in labels else ""
+        lines.append(f"  {quote(a)} -> {quote(b)}{attr};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestWriters:
+    """Files and DOT text equal what json.dumps writes, byte for byte."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, len(ODD_NAMES)])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_write_poset_is_json_dumps(self, tmp_path, k, labeled):
+        p = odd_lattice(k)
+        labels = {edge: ODD_NAMES[-1 - i] for i, edge in enumerate(p.cover_names())} if labeled else None
+        path = tmp_path / "out.json"
+        lkio.write_poset(path, p, labels)
+        expected = json.dumps(lkio.poset_to_dict(p, labels), ensure_ascii=False, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        if labeled and k > 1:
+            assert '"labels": {' in expected
+        assert lkio.read_poset(path)[0].names == p.names
+
+    def test_empty_labels_and_lists(self, tmp_path):
+        path = tmp_path / "out.json"
+        lkio.write_poset(path, odd_lattice(0), {})
+        assert path.read_text(encoding="utf-8") == '{\n  "elements": [],\n  "covers": []\n}\n'
+        assert lkio._dumps({"elements": [], "covers": [], "labels": {}}) == (
+            json.dumps({"elements": [], "covers": [], "labels": {}}, indent=2) + "\n"
+        )
+
+    @pytest.mark.parametrize("k", [0, 1, len(ODD_NAMES)])
+    def test_to_dot_is_json_quoted(self, k):
+        p = odd_lattice(k)
+        labels = {edge: ODD_NAMES[i] for i, edge in enumerate(p.cover_names()) if i % 2}
+        for lab in (None, labels):
+            assert lkio.to_dot(p, lab) == reference_dot(p, lab)
+            assert lkio.to_dot(p, lab, name=ODD_NAMES[1]) == reference_dot(p, lab, ODD_NAMES[1])
+
+    def test_non_string_label_is_refused(self, tmp_path):
+        p = odd_lattice(3)
+        lower, upper = p.cover_names()[1]
+        path = tmp_path / "out.json"
+        with pytest.raises(lk.InvalidSpec, match="label of edge .* must be a string, not 7"):
+            lkio.write_poset(path, p, {(lower, upper): 7})
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("birkhoff", "ideals", "{antichain}", "--out", "{out}"),  # 1024 down-sets: dense path
+            ("freedist", "generate", "--n", "3", "--extended", "--out", "{out}"),  # 0̂ and 1̂
+            ("reconstruct", FIXTURES / "case_n1.json", "--with-bounds", "--out", "{out}"),
+        ],
+    )
+    def test_cli_files(self, capsys, tmp_path, argv):
+        antichain = write_poset(tmp_path / "antichain.json", [f"x{i}" for i in range(10)])
+        out = tmp_path / "out.json"
+        code, _, _ = run(capsys, *(str(a).format(antichain=antichain, out=out) for a in argv))
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2) + "\n"
+
 
 class TestRenderAndDeterminism:
     def test_render(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit import lattice as lattice_module
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
+from latticekit.poset import order_ideal_masks
 
 from conftest import (
     BLOCK_CELLS,
@@ -442,6 +443,110 @@ class TestSetFamilyTables:
         members = np.arange(TABLE_LIMIT + 1, dtype=np.uint64)[:, None]
         with pytest.raises(lk.SizeLimitExceeded, match="32768"):
             set_family_tables(members)
+
+
+def reference_pair_lookup(rows, op, family):
+    """Pair loop over one-word rows as Python ints: the lowest family index
+    of op(rows[i], rows[j]) for j >= i, and where there is none."""
+    words, index = rows[:, 0].tolist(), {}
+    for k, w in enumerate(family[:, 0].tolist()):
+        index.setdefault(w, k)
+    m = len(words)
+    found = np.full((m, m), -1)
+    for i in range(m):
+        for j in range(i, m):
+            found[i, j] = index.get(op(words[i], words[j]), -1)
+    return found
+
+
+def gathered_lookup(rows, op, family):
+    """_pair_lookup's blocks as one (m, m) array: found where a row is
+    found, -1 where it is missing, -2 below the diagonal."""
+    m = len(rows)
+    found = np.full((m, m), -2)
+    for block, hits, missing in lattice_module._pair_lookup(rows, op, family):
+        found[block, block.start :] = np.where(missing, -1, hits)
+    return found
+
+
+class TestPairLookupPaths:
+    """The dense index and the sorted search find the same rows."""
+
+    @staticmethod
+    def family(rng, m, bits):
+        words = rng.choice(1 << bits, size=m, replace=False)
+        words[m - 1] = words[1]  # a repeated row: index 1 must win
+        return words.astype(np.uint64)[:, None]
+
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "bits, dense", [(6, (True, True)), (10, (True, False)), (12, (False, False)), (20, (False, False))]
+    )
+    def test_matches_pair_loop(self, cells, seed, bits, dense):
+        # 45 family rows serve 45² = 2025 lookups and 30 other rows 900:
+        # 10-bit keys take the index for the first and not the second
+        rng = np.random.default_rng(seed)
+        family = self.family(rng, 45, bits)
+        others = rng.choice(1 << bits, size=30, replace=False).astype(np.uint64)[:, None]
+        for rows, indexed in zip((family, others), dense):
+            assert (lattice_module._dense_index(rows, family) is not None) == indexed
+            for op, ref_op in ((np.bitwise_and, int.__and__), (np.bitwise_or, int.__or__)):
+                with table_blocks(cells):
+                    found = gathered_lookup(rows, op, family)
+                expected = reference_pair_lookup(rows, ref_op, family)
+                upper = np.triu(np.ones(found.shape, dtype=bool))
+                assert np.array_equal(found[upper], expected[upper])
+                assert (found[upper] == -1).any()  # misses are reported
+        # the repeated row is found at its lowest index
+        assert gathered_lookup(family, np.bitwise_and, family)[1, 1] == 1
+
+    def test_selection_rule(self):
+        def dense(*words):
+            rows = np.array(words, dtype=np.uint64)[:, None]
+            return lattice_module._dense_index(rows, rows) is not None
+
+        assert dense(0, 1, 2, 15)  # span 16 = 4²
+        assert not dense(0, 0, 0, 16)  # span 17 > 4²
+        assert not dense(0, 1 << 40, 1 << 41, 3 << 40)
+        wide = np.zeros((4, 2), dtype=np.uint64)  # two words per row, all keys 0
+        assert lattice_module._dense_index(wide, wide) is None
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """The indexes the table builders choose, None for a sorted search."""
+        chosen = []
+        dense_index = lattice_module._dense_index
+
+        def spy(rows, family):
+            chosen.append(dense_index(rows, family))
+            return chosen[-1]
+
+        monkeypatch.setattr(lattice_module, "_dense_index", spy)
+        return chosen
+
+    def test_wide_keys_take_the_sorted_path(self, paths):
+        # a chain of 33 sets with 32-bit keys, as wide as FD(5)'s truth tables
+        sets = [(1 << k) - 1 for k in range(33)]
+        leq, meet, join = set_family_tables(np.array(sets, dtype=np.uint64)[:, None])
+        assert len(paths) == 2 and all(slot is None for slot in paths)
+        expected = reference_set_tables(sets)
+        assert all(np.array_equal(a, b) for a, b in zip((leq, meet, join), expected))
+
+    def test_free_lattices_choose_by_key_width(self, paths):
+        fd.generate_lattice(3)  # 8-bit truth tables, 18² lookups
+        assert len(paths) == 2 and all(slot is not None for slot in paths)
+        fd.generate_lattice(4)  # 16-bit truth tables: 2^16 > 166²
+        assert len(paths) == 4 and all(slot is None for slot in paths[2:])
+
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    def test_down_sets_take_the_dense_path(self, paths, cells):
+        p = lk.build_poset([f"x{i}" for i in range(9)], [("x0", "x1"), ("x2", "x3")])
+        with table_blocks(cells):
+            l = lk.ideals_lattice(p).lattice
+        assert len(paths) == 2 and all(slot is not None and len(slot) == 512 for slot in paths)
+        expected = reference_set_tables([int(w) for w in order_ideal_masks(p)[:, 0]])
+        assert all(np.array_equal(a, b) for a, b in zip((l.leq, l.meet, l.join), expected))
 
 
 def reference_boolean_lattice(k):

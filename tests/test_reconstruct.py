@@ -88,6 +88,16 @@ class TestValidate:
         with pytest.raises(lk.InconsistentOrder):
             lk.validate_spec(spec)
 
+    def test_cycle_is_named(self):
+        spec = ReconstructionSpec(
+            factors=tuple("abcd"),
+            irreducibles=tuple(IrreducibleDecl(x, f, (f,)) for x, f in zip("WXYZ", "abcd")),
+            order=(("W", "X"), ("Y", "Z"), ("Z", "X"), ("X", "Y")),
+        )
+        message = "declared order facts are cyclic: cover relation has a cycle: X < Y < Z < X"
+        with pytest.raises(lk.InconsistentOrder, match=f"^{message}$"):
+            lk.validate_spec(spec)
+
 
 class TestIrreducibleOrder:
     def test_case_n2_is_boolean_poset_without_bounds(self, case_n2_spec):
@@ -123,6 +133,25 @@ class TestIrreducibleOrder:
         )
         with pytest.raises(lk.OrderConflict):
             lk.irreducible_order(spec)
+
+    def test_equal_factor_sets_name_the_first_pair(self):
+        # P, S and T share a factor set, and so do Q and R: in (i, j) order
+        # the first pair is (P, S), although R is the first name seen twice
+        sets = {"P": "abe", "Q": "cd", "R": "cd", "S": "abe", "T": "abe"}
+        tops = {"P": "a", "Q": "c", "R": "d", "S": "b", "T": "e"}
+        spec = ReconstructionSpec(
+            factors=tuple("abcde"),
+            irreducibles=tuple(IrreducibleDecl(x, tops[x], tuple(f)) for x, f in sets.items()),
+        )
+        with pytest.raises(lk.OrderConflict) as exc:
+            lk.irreducible_order(spec)
+        assert exc.value.pair == ("P", "S")
+
+    def test_cap_counts_the_irreducibles(self, case_n1_spec):
+        # six irreducibles: J(P) has at least 7 elements (21 in fact)
+        with pytest.raises(lk.SizeLimitExceeded, match="^more than 6 order ideals; raise the cap"):
+            lk.irreducible_order(case_n1_spec, cap=6)
+        assert lk.irreducible_order(case_n1_spec, cap=7).n == 6
 
     def test_inference_recovers_declared_order(self, case_n1_spec, case_n2_spec):
         for spec in (case_n1_spec, case_n2_spec):
