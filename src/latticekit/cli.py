@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import birkhoff, freedist, io, properties
@@ -47,7 +48,9 @@ def main(argv=None) -> int:
         print(f"input error: {source} must be a positive integer, not {limit}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, limit)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args, limit)
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 3
@@ -61,6 +64,12 @@ def main(argv=None) -> int:
         where = "" if isinstance(exc, OSError) else f"{args.file}: "  # an OSError's text names the file
         print(f"input error: {where}{exc}", file=sys.stderr)
         return 2
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as ``warning: <message>``, without the source path
+    and line that Python's default format adds."""
+    print(f"warning: {message}", file=file or sys.stderr)
 
 
 @functools.cache  # built once per process; parsing leaves it unchanged

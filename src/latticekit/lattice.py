@@ -9,9 +9,10 @@ two packed rows combined by ``&`` or ``|``, found among the rows of a
 family.  One-word rows with keys below len(rows)² (the down-sets of P when
 2^|P| ≤ |J(P)|², the truth tables of FD(3)) are read off a dense index of
 every key; all others, multi-word rows and wide keys such as FD(5)'s
-32-bit truth tables, by a sorted search.  ``as_lattice`` looks up intersections of principal down-sets
-(and up-sets), ``set_family_tables`` the intersections and unions of a
-closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
+32-bit truth tables, by a sorted search.  ``as_lattice`` looks up
+intersections of principal down-sets (and up-sets), cut to the
+irreducibles when that keeps the order, ``set_family_tables`` the
+intersections and unions of a closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
 the unions of its nodes."""
 
 from __future__ import annotations
@@ -264,6 +265,19 @@ def as_lattice(p: Poset) -> Lattice:
     intersection is no principal down-set has no meet.  Joins are the same
     with up-sets.  One lookup (:func:`_pair_lookup`) serves both tables.
 
+    The rows looked up are narrow when they can be (see
+    :func:`_bound_rows`): φ(x), the elements with at most one lower cover
+    that lie below x, which in a lattice are the join-irreducibles and the
+    bottom, so by Birkhoff a few bits name every element.  When φ(a) ⊆ φ(b)
+    holds only for a ≤ b, the argument above holds with φ in place of
+    down: every common lower bound x of a and b has φ(x) ⊆ φ(a) ∩ φ(b), so
+    the element c with φ(c) = φ(a) ∩ φ(b) is a ∧ b, and when a ∧ b exists
+    φ(a ∧ b) = φ(a) ∩ φ(b).  Joins use the elements with at most one upper
+    cover and their up-sets.  A side on which φ does not reflect the order
+    falls back to the full down-set (up-set) rows.  The covers come from
+    :attr:`Poset.covers_matrix`, read off the listed pairs for a poset
+    from :func:`latticekit.poset.build_poset`.
+
     Raises :class:`NotALattice` with the witness pair and its set of
     minimal upper (or maximal lower) bounds; the pair is the first failing
     one with a ascending, b >= a, join checked before meet.
@@ -275,8 +289,10 @@ def as_lattice(p: Poset) -> Lattice:
     meet = np.empty((n, n), dtype=np.int16)
     join = np.empty((n, n), dtype=np.int16)
     bad = np.zeros(n, dtype=bool)
-    for table, bounds in ((join, p.leq), (meet, p.leq.T)):
-        rows = _pack_rows(bounds)
+    covers = p.covers_matrix
+    sides = ((join, p.leq, covers.sum(axis=1)), (meet, p.leq.T, covers.sum(axis=0)))
+    for table, bounds, degree in sides:
+        rows = _bound_rows(bounds, degree <= 1)
         for block, found, missing in _pair_lookup(rows, np.bitwise_and, rows):
             table[block, block.start :] = found
             table[block.start :, block] = found.T
@@ -285,6 +301,25 @@ def as_lattice(p: Poset) -> Lattice:
     if bad.size:  # the first flagged row holds the pair loop's first failure
         _raise_first_failure(p, int(bad[0]))
     return Lattice(p, meet, join)
+
+
+def _bound_rows(bounds: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Packed rows of the bound sets ``bounds`` (boolean, row x the down-set
+    or up-set of x) cut to the columns ``keep`` when the cut rows still
+    reflect the order (see :func:`_reflects_order`), else the full rows."""
+    rows = _pack_rows(bounds[:, keep])
+    return rows if _reflects_order(rows, bounds) else _pack_rows(bounds)
+
+
+def _reflects_order(rows: np.ndarray, bounds: np.ndarray) -> bool:
+    """Whether packed row a ⊆ row b holds only when ``bounds[b, a]``: one
+    pass in row blocks, O(n²·words) word operations."""
+    outside = ~rows
+    for block in _row_blocks(len(rows), rows.size):
+        inside = ~(rows[block, None] & outside).any(axis=2)
+        if (inside & ~bounds[:, block].T).any():
+            return False
+    return True
 
 
 def _check_limit(n: int, limit: Optional[int] = None) -> None:

@@ -48,6 +48,9 @@ class Poset:
         self.names = names
         self.leq = leq
         self._index = {x: i for i, x in enumerate(names)}
+        # set by build_poset until covers_matrix is first read: the listed
+        # (lower, upper) index pairs, and the packed up-set and down-set rows
+        self._listed: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- basics ---------------------------------------------------------
 
@@ -84,7 +87,23 @@ class Poset:
 
     @cached_property
     def covers_matrix(self) -> np.ndarray:
-        """Boolean matrix of the transitive reduction (j covers i)."""
+        """Boolean matrix of the transitive reduction (j covers i).
+
+        A poset from :func:`build_poset` reads it off the pairs it was
+        built from: the reduction lies inside every set of pairs that
+        generates the order, so its covers are the listed pairs with
+        nothing between their ends (see :func:`_redundant_pairs`), found in
+        O(pairs·n/64) word operations.  A poset built from ``leq`` directly
+        finds it by a float32 matmul, O(n³).
+        """
+        if self._listed is not None:
+            pairs, up, down = self._listed
+            lower, upper = pairs[:, ~_redundant_pairs(up, down, pairs)]
+            self._listed = None  # the rows are not needed again
+            out = np.zeros((self.n, self.n), dtype=bool)
+            out[lower, upper] = True
+            out.flags.writeable = False
+            return out
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts are exact: each is at most n - 2, far below 2**24
         ltf = lt.astype(np.float32)
@@ -176,7 +195,10 @@ def build_poset(
     """Build a poset from named elements and (lower, upper) cover pairs.
 
     The order is the reflexive-transitive closure of the pairs; redundant
-    input pairs (implied by transitivity) are dropped with a warning.
+    input pairs (implied by transitivity) are dropped with a warning, in
+    ascending index order.  The covers are the listed pairs less the
+    redundant ones (see :attr:`Poset.covers_matrix`), never a matmul; with
+    ``warn_redundant=False`` they are found only when first asked for.
     Raises :class:`CycleDetected` for cyclic input and
     :class:`UnknownElement` for pair endpoints not in ``elements``.
     """
@@ -194,12 +216,16 @@ def build_poset(
             raise UnknownElement(f"unknown element {b!r} in cover pair")
         pairs.append((index[a], index[b]))
 
-    poset = Poset(names, _closure(n, pairs, names).T)
+    pairs = list(dict.fromkeys(pairs))
+    listed = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    up, down = _closure(n, pairs, names)
+    poset = Poset(names, _unpack_rows(up, n))
+    poset._listed = listed, up, down
 
     if warn_redundant:
-        reduction = set(poset.cover_pairs)
-        dropped = sorted({p for p in pairs if p not in reduction and p[0] != p[1]})
-        for a, b in dropped:
+        lower, upper = listed
+        dropped = ~poset.covers_matrix[lower, upper]
+        for a, b in sorted(zip(lower[dropped].tolist(), upper[dropped].tolist())):
             warnings.warn(
                 f"redundant cover pair ({names[a]!r}, {names[b]!r}) dropped",
                 RedundantCoverWarning,
@@ -208,19 +234,39 @@ def build_poset(
     return poset
 
 
-def _closure(n, pairs, names) -> np.ndarray:
-    """Boolean down-set rows of the reflexive-transitive closure of the
-    (lower, upper) index pairs.
+def _closure(n, pairs, names) -> tuple[np.ndarray, np.ndarray]:
+    """Packed up-set and down-set rows of the reflexive-transitive closure
+    of the (lower, upper) index pairs.
 
-    Packed rows are closed one level at a time, sources first (see
-    :func:`_kahn_levels`): one array OR hands each level's down-sets to the
-    elements they cover.
+    Rows are closed one level at a time (see :func:`_kahn_levels`): one
+    array OR per level hands the down-sets of a level's elements to the
+    elements they cover, sources first, and the up-sets of the covered
+    elements back to them, sinks first.
     """
-    down = _pack_rows(np.eye(n, dtype=bool))
-    for edges in _kahn_levels(n, pairs, names):
-        lower, upper = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    up = _pack_rows(np.eye(n, dtype=bool))
+    down = up.copy()
+    levels = [np.array(edges, dtype=np.intp).T for edges in _kahn_levels(n, pairs, names) if edges]
+    for lower, upper in levels:
         np.bitwise_or.at(down, upper, down[lower])
-    return _unpack_rows(down, n)
+    for lower, upper in reversed(levels):
+        np.bitwise_or.at(up, lower, up[upper])
+    return up, down
+
+
+def _redundant_pairs(up: np.ndarray, down: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Flags the pairs a < b (``pairs`` as a (lower, upper) array) with some
+    element c, a < c < b: those whose up(a) ∩ down(b) holds more than a and
+    b, that is, whose strict up-set of a and strict down-set of b meet.
+    ``up`` and ``down`` are packed rows; one block of pairs at a time,
+    O(pairs·n/64) word operations."""
+    from .lattice import _row_blocks  # lattice imports this module
+
+    above, below = up & ~down, down & ~up  # up(x) ∩ down(x) = {x}
+    flags = np.empty(pairs.shape[1], dtype=bool)
+    for part in _row_blocks(len(flags), up.shape[1]):
+        a, b = pairs[:, part]
+        flags[part] = (above[a] & below[b]).any(axis=1)
+    return flags
 
 
 def _kahn_levels(n, pairs, names) -> list[list[tuple[int, int]]]:

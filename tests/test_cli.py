@@ -99,6 +99,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", bad, "--property", "modular")
         assert code == 2 and "join" in err
 
+    def test_redundant_pair_warning_is_one_plain_line(self, capsys, tmp_path):
+        # no source path or line of the package, whatever its install
+        chain = tmp_path / "chain.json"
+        chain.write_text(
+            json.dumps(
+                {"elements": ["x1", "x2", "x6"], "covers": [["x1", "x2"], ["x2", "x6"], ["x1", "x6"]]}
+            )
+        )
+        code, out, err = run(capsys, "check", chain, "--property", "distributive")
+        assert (code, out) == (0, "distributive: true\n")
+        assert err == "warning: redundant cover pair ('x1', 'x6') dropped\n"
+
     def test_limit(self, capsys):
         # divisor12.json has 6 elements: 5 is below it, 6 admits it
         code, out, err = run(

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
+from latticekit import io as lkio
 from latticekit import lattice as lattice_module
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
-from latticekit.poset import order_ideal_masks
+from latticekit.poset import _pack_rows, order_ideal_masks
 
 from conftest import (
     BLOCK_CELLS,
@@ -409,6 +411,98 @@ class TestAsLatticeMatchesFirstCommonBound:
         with table_blocks(cells):
             expected = tables_outcome(lambda: reference_first_bound_tables(p))
             assert tables_outcome(library) == expected
+
+
+def lookup_outcomes(p):
+    """``as_lattice(p)`` as :func:`tables_outcome`, on its narrow rows and on
+    full-width rows, and for the narrow run the width of each side's rows
+    and whether they reflected the order (join side first)."""
+    sides = []
+    reflects_order = lattice_module._reflects_order
+
+    def spy(rows, bounds):
+        sides.append((rows.shape[1], reflects_order(rows, bounds)))
+        return sides[-1][1]
+
+    def build():
+        l = lk.as_lattice(p)
+        return l.meet, l.join, l.bottom_index, l.top_index
+
+    with mock.patch.object(lattice_module, "_reflects_order", spy):
+        narrow = tables_outcome(build)
+    with mock.patch.object(lattice_module, "_bound_rows", lambda bounds, keep: _pack_rows(bounds)):
+        full = tables_outcome(build)
+    return narrow, full, sides
+
+
+def listed_posets(l, seed=0):
+    """``l``'s order as a file lists it, elements and cover pairs through
+    build_poset: in ``l``'s element order and in a shuffled one."""
+    names = list(l.names)
+    shuffled = [names[i] for i in np.random.default_rng(seed).permutation(l.n)]
+    covers = l.poset.cover_names()
+    return [lk.build_poset(order, covers) for order in (names, shuffled)]
+
+
+class TestAsLatticeNarrowRowsMatchFullWidth:
+    """Tables on the rows of the elements with at most one lower (upper)
+    cover equal those of the full down-set (up-set) rows, and non-lattices
+    fail on the same pair with the same bounds."""
+
+    def assert_lattice(self, p):
+        narrow, full, sides = lookup_outcomes(p)
+        assert narrow == full and isinstance(narrow[0], bytes)
+        assert [reflects for _, reflects in sides] == [True, True]
+        return sides
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        l = CATALOG[name]()
+        for p in [l.poset, *listed_posets(l)]:
+            self.assert_lattice(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(searched_lattices(), st.integers(0, 2**32 - 1))
+    def test_ideals_and_products_shuffled(self, l, seed):
+        for p in [l.poset, *listed_posets(l, seed)]:
+            self.assert_lattice(p)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_free_lattices_read_back_from_files(self, n, tmp_path):
+        path = tmp_path / f"fd{n}.json"
+        lkio.write_lattice(path, fd.generate_lattice(n, extended=True))
+        l = lkio.read_lattice(path)
+        for p in [l.poset, *listed_posets(l)]:
+            sides = self.assert_lattice(p)
+            if n == 4:  # 168 elements, three words wide; their irreducibles fit one
+                assert [words for words, _ in sides] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "elements, covers, failure, reflects",
+        [
+            (["0", "x", "y"], [("0", "x"), ("0", "y")], (("x", "y"), [], "join"), True),
+            (["x", "y", "1"], [("x", "1"), ("y", "1")], (("x", "y"), [], "meet"), True),
+            # the bowtie's two tops (bottoms) lie above (below) the same
+            # irreducibles, so both sides fall back to full-width rows
+            (
+                ["x", "y", "a", "b"],
+                [("x", "a"), ("x", "b"), ("y", "a"), ("y", "b")],
+                (("x", "y"), ["a", "b"], "join"),
+                False,
+            ),
+        ],
+        ids=["vee", "wedge", "bowtie"],
+    )
+    def test_small_non_lattices(self, elements, covers, failure, reflects):
+        narrow, full, sides = lookup_outcomes(lk.build_poset(elements, covers))
+        assert narrow == full and narrow[:3] == failure
+        assert sides == [(1, reflects), (1, reflects)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(wide_partial_orders(), shuffled_posets()))
+    def test_random_orders(self, p):
+        narrow, full, _ = lookup_outcomes(p)
+        assert narrow == full
 
 
 class TestSetFamilyTables:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
+from latticekit import poset as poset_module
 from latticekit.poset import RedundantCoverWarning, _pack_rows
 
-from conftest import row_ints
+from conftest import BLOCK_CELLS, row_ints, table_blocks
 
 PENTAGON_COVERS = [("0", "a"), ("a", "1"), ("0", "c"), ("c", "b"), ("b", "1")]
 
@@ -268,3 +271,62 @@ def test_closure_and_masks_match_bruteforce(case):
         assert row_ints(_pack_rows(p.leq.T))[i] == sum(
             1 << j for j in range(len(names)) if p.leq[j, i]
         )
+
+
+@st.composite
+def listed_pairs(draw):
+    """Names in a random order and a shuffled pair list over up to 90
+    elements (two-word rows past 64): the pairs i < j of a random DAG, many
+    of them implied by others, with some listed twice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=90))
+    density = draw(st.sampled_from([0.02, 0.1, 0.4]))
+    lower, upper = np.nonzero(np.triu(rng.random((n, n)) < density, 1))
+    pairs = list(zip(lower.tolist(), upper.tolist()))
+    if pairs:
+        pairs += [pairs[k] for k in rng.integers(0, len(pairs), size=len(pairs) // 4)]
+    rng.shuffle(pairs)
+    names = [f"e{k}" for k in rng.permutation(n)]
+    return names, [(names[a], names[b]) for a, b in pairs]
+
+
+class TestCoversFromListedPairs:
+    """build_poset reads the covers off its pairs, not off a matmul."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(listed_pairs(), st.sampled_from(BLOCK_CELLS))
+    def test_match_the_matmul_and_its_warnings(self, case, cells):
+        names, covers = case
+        with warnings.catch_warnings(record=True) as caught, table_blocks(cells):
+            warnings.simplefilter("always")
+            p = lk.build_poset(names, covers)
+        reference = lk.Poset(p.names, p.leq)  # built from leq: the matmul
+        assert np.array_equal(p.covers_matrix, reference.covers_matrix)
+        # the warnings the matmul's reduction gave: dropped pairs by index
+        reduction = set(reference.cover_pairs)
+        pairs = {(p.index(a), p.index(b)) for a, b in covers}
+        expected = [
+            f"redundant cover pair ({names[a]!r}, {names[b]!r}) dropped"
+            for a, b in sorted(pairs - reduction)
+        ]
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.category is RedundantCoverWarning for w in caught)
+
+    def test_computed_once_and_only_when_asked_for(self, monkeypatch):
+        calls = []
+        redundant_pairs = poset_module._redundant_pairs
+
+        def spy(*args):
+            calls.append(args)
+            return redundant_pairs(*args)
+
+        monkeypatch.setattr(poset_module, "_redundant_pairs", spy)
+        covers = [("0", "a"), ("a", "1"), ("0", "1")]
+        p = lk.build_poset(["0", "a", "1"], covers, warn_redundant=False)
+        assert calls == [] and "covers_matrix" not in vars(p)
+        assert p.cover_names() == [("0", "a"), ("a", "1")]
+        assert len(calls) == 1
+        with pytest.warns(RedundantCoverWarning):
+            q = lk.build_poset(["0", "a", "1"], covers)
+        assert len(calls) == 2  # at build time, for the warnings
+        assert q.cover_names() == p.cover_names() and len(calls) == 2
