@@ -31,12 +31,11 @@ from .errors import (
     NotRestricted,
     SizeLimitExceeded,
 )
-from .poset import Poset, _pack_rows, _set_keys, dual_poset
+from .poset import Poset, _pack_rows, _row_blocks, _set_keys, dual_poset
 
 VERIFY_LIMIT = 2000  # exhaustive table verification cap
 RANK_IRREDUCIBLE_CAP = 20
 TABLE_LIMIT = int(np.iinfo(np.int16).max)  # largest element count int16 tables index
-TABLE_BLOCK_CELLS = 2**16  # 64-bit words of working space per row block (512 KB)
 
 Edge = tuple[str, str]
 
@@ -240,13 +239,6 @@ class Lattice:
         """Order-reversed lattice (meet and join tables swapped)."""
         return Lattice(dual_poset(self.poset), self.join, self.meet)
 
-
-
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """Slices of ``rows`` table rows of ``cols`` cells, about
-    ``TABLE_BLOCK_CELLS`` cells per slice."""
-    block = max(1, TABLE_BLOCK_CELLS // max(cols, 1))
-    return [slice(start, start + block) for start in range(0, rows, block)]
 
 
 # -- construction ------------------------------------------------------------

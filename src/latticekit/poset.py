@@ -21,6 +21,7 @@ from .errors import CycleDetected, SizeLimitExceeded, UnknownElement
 
 DEFAULT_IDEAL_CAP = 10_000_000
 DEFAULT_ISO_CAP = 1000
+TABLE_BLOCK_CELLS = 2**16  # 64-bit words of working space per row block (512 KB)
 
 
 class RedundantCoverWarning(UserWarning):
@@ -48,9 +49,6 @@ class Poset:
         self.names = names
         self.leq = leq
         self._index = {x: i for i, x in enumerate(names)}
-        # set by build_poset until covers_matrix is first read: the listed
-        # (lower, upper) index pairs, and the packed up-set and down-set rows
-        self._listed: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- basics ---------------------------------------------------------
 
@@ -89,21 +87,10 @@ class Poset:
     def covers_matrix(self) -> np.ndarray:
         """Boolean matrix of the transitive reduction (j covers i).
 
-        A poset from :func:`build_poset` reads it off the pairs it was
-        built from: the reduction lies inside every set of pairs that
-        generates the order, so its covers are the listed pairs with
-        nothing between their ends (see :func:`_redundant_pairs`), found in
-        O(pairs·n/64) word operations.  A poset built from ``leq`` directly
-        finds it by a float32 matmul, O(n³).
+        A poset from :func:`build_poset` has it from the pairs it was built
+        from, set at build time.  A poset built from ``leq`` directly finds
+        it here, on first use, by a float32 matmul, O(n³).
         """
-        if self._listed is not None:
-            pairs, up, down = self._listed
-            lower, upper = pairs[:, ~_redundant_pairs(up, down, pairs)]
-            self._listed = None  # the rows are not needed again
-            out = np.zeros((self.n, self.n), dtype=bool)
-            out[lower, upper] = True
-            out.flags.writeable = False
-            return out
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts are exact: each is at most n - 2, far below 2**24
         ltf = lt.astype(np.float32)
@@ -183,6 +170,13 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices of ``rows`` table rows of ``cols`` cells, about
+    ``TABLE_BLOCK_CELLS`` cells per slice."""
+    block = max(1, TABLE_BLOCK_CELLS // max(cols, 1))
+    return [slice(start, start + block) for start in range(0, rows, block)]
+
+
 # -- construction ---------------------------------------------------------
 
 
@@ -196,9 +190,11 @@ def build_poset(
 
     The order is the reflexive-transitive closure of the pairs; redundant
     input pairs (implied by transitivity) are dropped with a warning, in
-    ascending index order.  The covers are the listed pairs less the
-    redundant ones (see :attr:`Poset.covers_matrix`), never a matmul; with
-    ``warn_redundant=False`` they are found only when first asked for.
+    ascending index order.  The transitive reduction lies inside every set
+    of pairs that generates the order, so :attr:`Poset.covers_matrix` is
+    the listed pairs less the redundant ones (see
+    :func:`_redundant_pairs`), found in O(pairs·n/64) word operations and
+    never by a matmul.
     Raises :class:`CycleDetected` for cyclic input and
     :class:`UnknownElement` for pair endpoints not in ``elements``.
     """
@@ -216,16 +212,16 @@ def build_poset(
             raise UnknownElement(f"unknown element {b!r} in cover pair")
         pairs.append((index[a], index[b]))
 
-    pairs = list(dict.fromkeys(pairs))
-    listed = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    up, down = _closure(n, pairs, names)
-    poset = Poset(names, _unpack_rows(up, n))
-    poset._listed = listed, up, down
+    down, listed = _closure(n, pairs, names)
+    poset = Poset(names, _unpack_rows(down, n).T)
+    redundant = _redundant_pairs(_pack_rows(poset.leq), down, listed)
+    covers = np.zeros((n, n), dtype=bool)
+    covers[tuple(listed[:, ~redundant])] = True
+    covers.flags.writeable = False
+    poset.__dict__["covers_matrix"] = covers  # the cached_property's slot
 
     if warn_redundant:
-        lower, upper = listed
-        dropped = ~poset.covers_matrix[lower, upper]
-        for a, b in sorted(zip(lower[dropped].tolist(), upper[dropped].tolist())):
+        for a, b in sorted(listed[:, redundant].T.tolist()):
             warnings.warn(
                 f"redundant cover pair ({names[a]!r}, {names[b]!r}) dropped",
                 RedundantCoverWarning,
@@ -235,22 +231,18 @@ def build_poset(
 
 
 def _closure(n, pairs, names) -> tuple[np.ndarray, np.ndarray]:
-    """Packed up-set and down-set rows of the reflexive-transitive closure
-    of the (lower, upper) index pairs.
+    """Packed down-set rows of the reflexive-transitive closure of the
+    (lower, upper) index pairs, and the distinct pairs as a (2, k) array.
 
-    Rows are closed one level at a time (see :func:`_kahn_levels`): one
-    array OR per level hands the down-sets of a level's elements to the
-    elements they cover, sources first, and the up-sets of the covered
-    elements back to them, sinks first.
+    Packed rows are closed one level at a time, sources first (see
+    :func:`_kahn_levels`): one array OR hands each level's down-sets to the
+    elements they cover.
     """
-    up = _pack_rows(np.eye(n, dtype=bool))
-    down = up.copy()
+    down = _pack_rows(np.eye(n, dtype=bool))
     levels = [np.array(edges, dtype=np.intp).T for edges in _kahn_levels(n, pairs, names) if edges]
     for lower, upper in levels:
         np.bitwise_or.at(down, upper, down[lower])
-    for lower, upper in reversed(levels):
-        np.bitwise_or.at(up, lower, up[upper])
-    return up, down
+    return down, np.concatenate([np.empty((2, 0), dtype=np.intp), *levels], axis=1)
 
 
 def _redundant_pairs(up: np.ndarray, down: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -259,8 +251,6 @@ def _redundant_pairs(up: np.ndarray, down: np.ndarray, pairs: np.ndarray) -> np.
     b, that is, whose strict up-set of a and strict down-set of b meet.
     ``up`` and ``down`` are packed rows; one block of pairs at a time,
     O(pairs·n/64) word operations."""
-    from .lattice import _row_blocks  # lattice imports this module
-
     above, below = up & ~down, down & ~up  # up(x) ∩ down(x) = {x}
     flags = np.empty(pairs.shape[1], dtype=bool)
     for part in _row_blocks(len(flags), up.shape[1]):

@@ -27,7 +27,7 @@ meet-irreducibles:
   scan visits only the rows whose key repeats.
 
 Certificates work in row blocks of about ``TABLE_BLOCK_CELLS`` cells
-(:func:`latticekit.lattice._row_blocks`), so their scratch memory stays
+(:func:`latticekit.poset._row_blocks`), so their scratch memory stays
 small whatever the lattice size.
 """
 
@@ -40,7 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChainCapExceeded, InvariantViolation, NotMaximalChain, NotModular
-from .lattice import Edge, Lattice, _row_blocks
+from .lattice import Edge, Lattice
+from .poset import _row_blocks
 
 DEFAULT_CHAIN_CAP = 1_000_000
 

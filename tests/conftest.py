@@ -10,6 +10,7 @@ import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit import lattice as lattice_module
+from latticekit import poset as poset_module
 from latticekit.poset import _pack_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -17,12 +18,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # row-block sizes for the table builders: the default, and one so small
 # that every input spans several blocks
-BLOCK_CELLS = (lattice_module.TABLE_BLOCK_CELLS, 16)
+BLOCK_CELLS = (poset_module.TABLE_BLOCK_CELLS, 16)
 
 
 def table_blocks(cells):
     """Run the table builders with row blocks of ``cells`` cells."""
-    return mock.patch.object(lattice_module, "TABLE_BLOCK_CELLS", cells)
+    return mock.patch.object(poset_module, "TABLE_BLOCK_CELLS", cells)
 
 
 def reference_set_tables(sets):
@@ -60,7 +61,7 @@ def reference_least_bounds(bounds, order):
     """
     n = len(order)
     rows = _pack_rows(bounds[:, order])
-    block = max(1, lattice_module.TABLE_BLOCK_CELLS // (n * rows.shape[1]))
+    block = max(1, poset_module.TABLE_BLOCK_CELLS // (n * rows.shape[1]))
     table = np.empty((n, n), dtype=np.int16)
     bad = np.zeros(n, dtype=bool)
     for start in range(0, n, block):

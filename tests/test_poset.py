@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
-from latticekit import poset as poset_module
 from latticekit.poset import RedundantCoverWarning, _pack_rows
 
 from conftest import BLOCK_CELLS, row_ints, table_blocks
@@ -312,21 +311,11 @@ class TestCoversFromListedPairs:
         assert [str(w.message) for w in caught] == expected
         assert all(w.category is RedundantCoverWarning for w in caught)
 
-    def test_computed_once_and_only_when_asked_for(self, monkeypatch):
-        calls = []
-        redundant_pairs = poset_module._redundant_pairs
-
-        def spy(*args):
-            calls.append(args)
-            return redundant_pairs(*args)
-
-        monkeypatch.setattr(poset_module, "_redundant_pairs", spy)
+    @pytest.mark.parametrize("warn", [True, False])
+    def test_set_at_build_time(self, warn):
         covers = [("0", "a"), ("a", "1"), ("0", "1")]
-        p = lk.build_poset(["0", "a", "1"], covers, warn_redundant=False)
-        assert calls == [] and "covers_matrix" not in vars(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RedundantCoverWarning)
+            p = lk.build_poset(["0", "a", "1"], covers, warn_redundant=warn)
+        assert "covers_matrix" in vars(p)  # its matmul getter never ran
         assert p.cover_names() == [("0", "a"), ("a", "1")]
-        assert len(calls) == 1
-        with pytest.warns(RedundantCoverWarning):
-            q = lk.build_poset(["0", "a", "1"], covers)
-        assert len(calls) == 2  # at build time, for the warnings
-        assert q.cover_names() == p.cover_names() and len(calls) == 2
