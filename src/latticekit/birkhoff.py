@@ -25,6 +25,7 @@ from .poset import (
     Poset,
     _canonical_rows,
     _pack_rows,
+    _set_covers,
     _unpack_rows,
     is_isomorphic,
     order_ideal_masks,
@@ -74,13 +75,21 @@ def ideals_lattice(
 
     Join is union, meet is intersection; the cover edge I < I + {x} is
     labeled x.  Default element names are brace sets like ``{a,b}``.
+
+    The covers are read off the union table before the :class:`Lattice`
+    is built, and fill :attr:`Poset.covers_matrix`, so no matmul runs.
+    Unverified tables may not feed the constructor's check its covers, but
+    these are not unverified: :func:`set_family_tables` confirms each union
+    word by word, so join[I, down(x)] is I ∪ down(x).  That is I ∪ {x}, a
+    cover of I, exactly when it is one element larger; and every cover
+    I ⋖ I′ of down-sets adds one element x, since I ∪ {x} is a down-set
+    for each minimal x of I′ less I.
     """
     namer = namer or brace_name
     rows = order_ideal_masks(p, cap)
     leq, meet, join = set_family_tables(rows)
     inside = _unpack_rows(rows, p.n)
     names = [namer(tuple(compress(p.names, row))) for row in inside.tolist()]
-    lattice = Lattice(Poset(names, leq), meet, join)
 
     # I ∪ down(x) for every I and x (the first row holding x is down(x));
     # it covers I, adding x alone, exactly when it is one element larger
@@ -88,6 +97,9 @@ def ideals_lattice(
     grown = join[:, inside.argmax(axis=0)]
     lower, added = np.nonzero(size[grown] == size[:, None] + 1)
     upper = grown[lower, added]
+    poset = Poset(names, leq)
+    _set_covers(poset, (lower, upper))
+    lattice = Lattice(poset, meet, join)
     labels: dict[Edge, str] = {
         (names[i], names[j]): p.names[x]
         for i, j, x in zip(lower.tolist(), upper.tolist(), added.tolist())

@@ -48,13 +48,15 @@ class Lattice:
     :class:`SizeLimitExceeded` before allocating anything larger.  Lookups
     are O(1).  The constructor alone decides what is checked: up to
     ``VERIFY_LIMIT`` elements, above which checking costs as much as
-    building or more, the tables are checked against the order in
-    O(n² + covers·n) time; the O(n³/64) pair scan runs only on tables that
-    fail that check, to name the first failing pair.  The bottom and top
-    are the unique elements below and above all others (else
-    :class:`NotALattice`).  Instances are immutable and safe for concurrent
-    reads; the grading, the dual and the property verdicts are computed
-    once and kept.
+    building or more, the tables are checked against the order.  When the
+    join- and meet-irreducibles (with the bottom and the top) fit one
+    64-bit word each, the check is O(n²) and reads no covers (see
+    :meth:`_irreducible_rows_prove`); otherwise it is O(n² + covers·n), and
+    the O(n³/64) pair scan runs only on tables that fail it, to name the
+    first failing pair.  The bottom and top are the unique elements below
+    and above all others (else :class:`NotALattice`).  Instances are
+    immutable and safe for concurrent reads; the grading, the dual and the
+    property verdicts are computed once and kept.
     """
 
     def __init__(self, poset: Poset, meet: np.ndarray, join: np.ndarray):
@@ -125,16 +127,22 @@ class Lattice:
         entries in range, bounds, the lub/glb universal property, absorption,
         b<=a <=> a^b=b <=> avb=a, and antisymmetry, which a preorder's tables fail alone.
 
-        Costs O(n² + covers·n): the universal property is proved by
-        :meth:`_lattice_laws_hold`, and the O(n³/64) pair scan
-        (:meth:`_scan_pairs`) runs only when that proof fails, to accept
-        the tables or to name the first failing pair.
+        Tables in range are first offered to :meth:`_irreducible_rows_prove`,
+        O(n²) on rows of one word, which reads no covers; a proof there
+        means every later check holds.  Wider rows, and tables it cannot
+        prove, take the checks below in order, O(n² + covers·n): the
+        universal property is proved by :meth:`_lattice_laws_hold`, and the
+        O(n³/64) pair scan (:meth:`_scan_pairs`) runs only when that proof
+        fails, to accept the tables or to name the first failing pair.  So
+        every :class:`NotALattice` comes from these checks alone.
         """
         n = self.n
         meet, join = self.meet, self.join
         for table, kind in ((join, "join"), (meet, "meet")):
             if table.size and not 0 <= table.min() <= table.max() < n:
                 raise NotALattice(("<table>", "<table>"), [], kind)
+        if self._irreducible_rows_prove():
+            return
         flat, index = self.leq.ravel(), np.arange(n)
         # join(a,b) is an upper bound and meet(a,b) a lower bound of a and b;
         # flat[x * n + y] reads x <= y, one block of rows a at a time
@@ -160,6 +168,58 @@ class Lattice:
             raise NotALattice(("<table>", "<table>"), [], "join-order")
         if (self.leq & self.leq.T & ~np.eye(n, dtype=bool)).any():
             raise NotALattice(("<table>", "<table>"), [], "antisymmetry")
+
+    def _irreducible_rows_prove(self) -> bool:
+        """A sufficient condition, in O(n²) word operations, for ``leq`` to
+        be a partial order whose glb and lub are ``meet`` and ``join``; the
+        entries must be in range.  False when it cannot tell, which
+        includes every input whose S or S′ below has more than 64 elements:
+        those are not tried.
+
+        Take any sets of elements S and S′, and let φ(x) = S ∩ down(x) and
+        ψ(x) = S′ ∩ up(x).  Suppose that for all a, b:
+        (1) leq[a, b] ⇔ φ(a) ⊆ φ(b), and leq[a, b] ⇔ ψ(b) ⊆ ψ(a);
+        (2) φ is one-to-one;
+        (3) φ(meet[a, b]) = φ(a) ∩ φ(b) and ψ(join[a, b]) = ψ(a) ∩ ψ(b).
+        By (1) ``leq`` is reflexive and transitive, as ⊆ is, and a ≤ b ≤ a
+        gives φ(a) = φ(b), so a = b by (2): a partial order.  m = meet[a, b]
+        has φ(m) ⊆ φ(a) and φ(m) ⊆ φ(b), so m ≤ a and m ≤ b by (1); a
+        common lower bound x has φ(x) ⊆ φ(a) ∩ φ(b) = φ(m), so x ≤ m, and m
+        is the glb.  j = join[a, b] is the lub by the same steps with ψ.
+        Every check of :meth:`_verify` holds of the glb and lub of a partial
+        order, so none needs running.  This holds whatever S and S′ are.
+
+        They are chosen so that (1)-(3) hold on every lattice: S holds the
+        elements with at most one lower cover, S′ those with at most one
+        upper cover (see :func:`_one_cover_flags`), which in a lattice are
+        J ∪ {0}, the join-irreducibles and the bottom, and M ∪ {1}.  Each
+        element is the join of the join-irreducibles below it (Birkhoff),
+        so φ(a) ⊆ φ(b) gives a ≤ b, and S ∩ down(a ∧ b) = φ(a) ∩ φ(b);
+        dually for ψ.  Only S and S′ of at most 64 elements are tried, so
+        that φ and ψ are one word each: (1) is then one
+        :func:`_reflects_order` pass per side, (2) one sort and (3) one
+        gather per table, in row blocks.
+        """
+        n = self.n
+        leq, meet, join = self.leq, self.meet, self.join
+        words = []
+        for bounds, lower in ((leq.T, True), (leq, False)):
+            keep = _one_cover_flags(leq, lower)
+            if keep.sum() > 64:
+                return False
+            rows = _pack_rows(bounds[:, keep])
+            if not _reflects_order(rows, bounds, exact=True):
+                return False
+            words.append(rows[:, 0])
+        phi, psi = words
+        if len(np.unique(phi)) < n:
+            return False
+        for block in _row_blocks(n, n):
+            if not (phi.take(meet[block]) == phi[block, None] & phi).all():
+                return False
+            if not (psi.take(join[block]) == psi[block, None] & psi).all():
+                return False
+        return True
 
     def _lattice_laws_hold(self) -> bool:
         """A sufficient condition, in O(n² + covers·n), for up(a) ∩ up(b) =
@@ -303,15 +363,36 @@ def _bound_rows(bounds: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return rows if _reflects_order(rows, bounds) else _pack_rows(bounds)
 
 
-def _reflects_order(rows: np.ndarray, bounds: np.ndarray) -> bool:
-    """Whether packed row a ⊆ row b holds only when ``bounds[b, a]``: one
-    pass in row blocks, O(n²·words) word operations."""
+def _reflects_order(rows: np.ndarray, bounds: np.ndarray, exact: bool = False) -> bool:
+    """Whether packed row a ⊆ row b holds only when ``bounds[b, a]`` (with
+    ``exact``, exactly when): one pass in row blocks, O(n²·words) word
+    operations."""
     outside = ~rows
     for block in _row_blocks(len(rows), rows.size):
         inside = ~(rows[block, None] & outside).any(axis=2)
-        if (inside & ~bounds[:, block].T).any():
+        expected = bounds[:, block].T
+        if (inside != expected if exact else inside & ~expected).any():
             return False
     return True
+
+
+def _one_cover_flags(leq: np.ndarray, lower: bool) -> np.ndarray:
+    """Flags the elements of the partial order ``leq`` with at most one
+    lower cover (``lower``), else with at most one upper cover, found
+    without the covers in O(n²): x has one lower cover y exactly when
+    some y < x has |down(y)| = |down(x)| − 1, for then down(y) is down(x)
+    less x, and every z < x lies below y.  One pass over row blocks of
+    ``leq``; on any other boolean matrix the flags mean nothing."""
+    n = len(leq)
+    size = leq.sum(axis=0 if lower else 1)
+    flags = size == 1
+    for block in _row_blocks(n, n):
+        rows = leq[block]
+        if lower:  # y in the block, below x
+            flags |= (rows & (size == size[block, None] + 1)).any(axis=0)
+        else:  # x in the block, below y
+            flags[block] |= (rows & (size[block, None] == size + 1)).any(axis=1)
+    return flags
 
 
 def _check_limit(n: int, limit: Optional[int] = None) -> None:
@@ -472,16 +553,21 @@ def grade(l: Lattice) -> GradeResult:
 
 
 def _unequal_chain_witness(l: Lattice) -> tuple[list[str], list[str]]:
-    """Two maximal chains of different length (shortest vs longest path)."""
+    """Two maximal chains of different length (shortest vs longest path),
+    ties going to the lowest-index lower cover.  Every lower-cover list
+    comes from one ``np.nonzero`` over the cover matrix."""
     p = l.poset
+    upper, lower = np.nonzero(p.covers_matrix.T)  # by upper, lower ascending
+    lows: list[list[int]] = [[] for _ in range(l.n)]
+    for i, j in zip(upper.tolist(), lower.tolist()):
+        lows[i].append(j)
     short = {l.bottom_index: [l.bottom_index]}
     long = {l.bottom_index: [l.bottom_index]}
     for i in p.topo_order:
         if i == l.bottom_index:
             continue
-        lows = p.lower_covers(i)
-        s = min((short[j] for j in lows), key=len)
-        g = max((long[j] for j in lows), key=len)
+        s = min((short[j] for j in lows[i]), key=len)
+        g = max((long[j] for j in lows[i]), key=len)
         short[i] = s + [i]
         long[i] = g + [i]
     a = [l.names[i] for i in short[l.top_index]]

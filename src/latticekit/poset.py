@@ -88,8 +88,10 @@ class Poset:
         """Boolean matrix of the transitive reduction (j covers i).
 
         A poset from :func:`build_poset` has it from the pairs it was built
-        from, set at build time.  A poset built from ``leq`` directly finds
-        it here, on first use, by a float32 matmul, O(n³).
+        from, and J(P) from :func:`latticekit.birkhoff.ideals_lattice` from
+        its union table, set at build time (:func:`_set_covers`).  A poset
+        built from ``leq`` directly finds it here, on first use, by a
+        float32 matmul, O(n³).
         """
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts are exact: each is at most n - 2, far below 2**24
@@ -215,10 +217,7 @@ def build_poset(
     down, listed = _closure(n, pairs, names)
     poset = Poset(names, _unpack_rows(down, n).T)
     redundant = _redundant_pairs(_pack_rows(poset.leq), down, listed)
-    covers = np.zeros((n, n), dtype=bool)
-    covers[tuple(listed[:, ~redundant])] = True
-    covers.flags.writeable = False
-    poset.__dict__["covers_matrix"] = covers  # the cached_property's slot
+    _set_covers(poset, listed[:, ~redundant])
 
     if warn_redundant:
         for a, b in sorted(listed[:, redundant].T.tolist()):
@@ -228,6 +227,16 @@ def build_poset(
                 stacklevel=2,
             )
     return poset
+
+
+def _set_covers(poset: Poset, pairs) -> None:
+    """Fill ``poset.covers_matrix`` with ``pairs``, the lower and the upper
+    indices of pairs (a (2, k) array or two arrays) that its builder knows
+    to be exactly the transitive reduction, so that no matmul runs."""
+    covers = np.zeros((poset.n, poset.n), dtype=bool)
+    covers[tuple(pairs)] = True
+    covers.flags.writeable = False
+    poset.__dict__["covers_matrix"] = covers  # the cached_property's slot
 
 
 def _closure(n, pairs, names) -> tuple[np.ndarray, np.ndarray]:

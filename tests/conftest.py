@@ -255,6 +255,25 @@ def reference_verify(poset, meet, join):
         raise lk.NotALattice(table, [], "antisymmetry")
 
 
+def reference_unequal_chain_witness(l):
+    """Two maximal chains of different length, shortest and longest, walked
+    along the topological order with each element's lower covers read one
+    column at a time; ties go to the lowest-index lower cover."""
+    p = l.poset
+    short = {l.bottom_index: [l.bottom_index]}
+    long = {l.bottom_index: [l.bottom_index]}
+    for i in p.topo_order:
+        if i == l.bottom_index:
+            continue
+        lows = p.lower_covers(i)
+        short[i] = min((short[j] for j in lows), key=len) + [i]
+        long[i] = max((long[j] for j in lows), key=len) + [i]
+    return (
+        [l.names[i] for i in short[l.top_index]],
+        [l.names[i] for i in long[l.top_index]],
+    )
+
+
 def reference_bounds(l):
     """(bottom, top) indices by folding the meet and join tables over every
     element."""
@@ -401,12 +420,13 @@ def product_lattice(s, t):
 
 
 @st.composite
-def searched_lattices(draw):
+def searched_lattices(draw, factors=(None, catalog.diamond, catalog.pentagon)):
     """J(P) of a random poset on at most 5 points, or M3 x J(P) or
     N5 x J(P) with P on at most 3 points (at most 40 elements), with its
     elements listed in a random order and its tables built in row blocks
-    of a drawn size."""
-    factor = draw(st.sampled_from([None, catalog.diamond, catalog.pentagon]))
+    of a drawn size.  ``factors`` restricts the left factor (None for J(P)
+    alone)."""
+    factor = draw(st.sampled_from(factors))
     k = draw(st.integers(min_value=1, max_value=5 if factor is None else 3))
     names = [f"x{i}" for i in range(k)]
     covers = [

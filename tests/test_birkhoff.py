@@ -1,4 +1,6 @@
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
-from latticekit import birkhoff, catalog
+from latticekit import birkhoff, catalog, cli
 from latticekit.poset import order_ideal_masks
 
 from conftest import (
@@ -121,6 +123,51 @@ def long_or_short_posets(draw):
     names = [f"e{i}" for i in draw(st.permutations(range(n)))]
     pairs = [(f"e{a}", f"e{b}") for a, b in covers if a < b]
     return lk.build_poset(names, pairs, warn_redundant=False)
+
+
+def matmul_covers(poset):
+    """The cover matrix of ``poset``'s order as a poset built from the
+    order alone finds it: by the matmul."""
+    return lk.Poset(poset.names, poset.leq).covers_matrix
+
+
+class TestIdealsCoversFromUnions:
+    """J(P)'s covers, read off its union table at build time, equal the
+    matmul's, and no path that builds a J(P) runs the matmul on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_or_short_posets())
+    @example(lk.build_poset([], []))
+    def test_random_posets(self, p):
+        poset = lk.ideals_lattice(p).lattice.poset
+        assert "covers_matrix" in vars(poset)
+        assert np.array_equal(poset.covers_matrix, matmul_covers(poset))
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 64, 65, 200])
+    def test_chains(self, k):
+        poset = lk.ideals_lattice(catalog.chain_poset(k)).lattice.poset
+        assert np.array_equal(poset.covers_matrix, matmul_covers(poset))
+
+    def test_no_matmul_on_ideals_reconstruct_or_round_trip(
+        self, monkeypatch, tmp_path, case_n1_spec
+    ):
+        sizes = []
+        matmul = lk.Poset.covers_matrix.func
+
+        def counted(poset):
+            sizes.append(poset.n)
+            return matmul(poset)
+
+        covers = functools.cached_property(counted)
+        covers.__set_name__(lk.Poset, "covers_matrix")
+        monkeypatch.setattr(lk.Poset, "covers_matrix", covers)
+        path, out = tmp_path / "antichain.json", tmp_path / "b6.json"
+        path.write_text(json.dumps({"elements": [f"x{i}" for i in range(6)], "covers": []}))
+        assert cli.main(["birkhoff", "ideals", str(path), "--out", str(out)]) == 0
+        assert lk.reconstruct(case_n1_spec).n == 21
+        assert lk.birkhoff_roundtrip(catalog.boolean_lattice(3)).ok
+        # only irreducible posets and B3, built from its subsets, run it
+        assert 64 not in sizes and 21 not in sizes and sizes.count(8) == 1
 
 
 class TestPackedRowsMatchIntMasks:

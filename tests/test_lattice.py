@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,6 +22,7 @@ from conftest import (
     reference_degree,
     reference_first_bound_tables,
     reference_set_tables,
+    reference_unequal_chain_witness,
     reference_verify,
     searched_lattices,
     table_blocks,
@@ -112,6 +114,12 @@ class TestGrade:
         g = lk.grade(d12)
         for a, b in d12.poset.cover_names():
             assert g.degree[b] == g.degree[a] + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(searched_lattices(factors=(catalog.pentagon,)))
+    def test_chain_witness_matches_the_column_walk(self, l):
+        g = lk.grade(l)
+        assert not g.graded and g.witness == reference_unequal_chain_witness(l)
 
 
 def lower_covers_oracle(l, x):
@@ -416,11 +424,14 @@ class TestAsLatticeMatchesFirstCommonBound:
 def lookup_outcomes(p):
     """``as_lattice(p)`` as :func:`tables_outcome`, on its narrow rows and on
     full-width rows, and for the narrow run the width of each side's rows
-    and whether they reflected the order (join side first)."""
+    and whether they reflected the order (join side first).  The
+    constructor's own equivalence checks (``exact``) are not recorded."""
     sides = []
     reflects_order = lattice_module._reflects_order
 
-    def spy(rows, bounds):
+    def spy(rows, bounds, exact=False):
+        if exact:
+            return reflects_order(rows, bounds, exact=True)
         sides.append((rows.shape[1], reflects_order(rows, bounds)))
         return sides[-1][1]
 
@@ -685,17 +696,36 @@ def verify_outcome(check):
     return None
 
 
+def chain_lattice(k):
+    return lk.as_lattice(catalog.chain_poset(k))
+
+
+def diamond_lattice(k):
+    """M_k: a bottom, k atoms and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    return lk.as_lattice(lk.build_poset(["0", *atoms, "1"], covers))
+
+
+# more than 64 join-irreducibles (and meet-irreducibles): rows wider than a word
+WIDE = {"chain200": lambda: chain_lattice(200), "M100": lambda: diamond_lattice(100)}
+
+
 @st.composite
-def corrupted_tables(draw):
+def corrupted_tables(draw, wide=False):
     """The order and tables of a catalog lattice, a J(P) or a product with
-    M3 or N5, with up to three corruptions: a flipped order cell, a dropped
+    M3 or N5 (with ``wide``, of a lattice in ``WIDE``), with up to three
+    corruptions: a flipped order cell, a dropped
     a <= c over some a < b < c (with the pair's meet and join moved to
     common bounds that remain), an added b <= a over some a < b, and a meet
     or join entry overwritten on both sides of the diagonal or on one.  New
     entries are mostly bounds of their pair, so the bound checks often
     pass and the later ones decide."""
-    name = draw(st.sampled_from([None, *sorted(CATALOG)]))
-    l = draw(searched_lattices()) if name is None else CATALOG[name]()
+    if wide:
+        l = WIDE[draw(st.sampled_from(sorted(WIDE)))]()
+    else:
+        name = draw(st.sampled_from([None, *sorted(CATALOG)]))
+        l = draw(searched_lattices()) if name is None else CATALOG[name]()
     n = l.n
     leq, tables = l.leq.copy(), {"meet": l.meet.copy(), "join": l.join.copy()}
     element = st.integers(min_value=0, max_value=n - 1)
@@ -751,6 +781,13 @@ class TestVerifyMatchesPairScan:
             got = verify_outcome(lambda: lk.Lattice(poset, meet, join))
         assert got == expected
 
+    @settings(max_examples=30, deadline=None)
+    @given(corrupted_tables(wide=True))
+    def test_corrupted_wide_tables(self, case):
+        poset, meet, join = case
+        expected = verify_outcome(lambda: reference_verify(poset, meet, join))
+        assert verify_outcome(lambda: lk.Lattice(poset, meet, join)) == expected
+
     def test_valid_lattices_skip_the_pair_scan(self, monkeypatch, case_n1_spec, case_n2_spec):
         scanned = []
         scan = lk.Lattice._scan_pairs
@@ -781,6 +818,97 @@ class TestVerifyMatchesPairScan:
         with pytest.raises(lk.NotALattice) as exc:
             lk.Lattice(b3.poset, tables["meet"], tables["join"])
         assert (exc.value.pair, exc.value.kind) == (("<table>", "<table>"), which)
+
+
+def forbidden(*_):
+    raise AssertionError("read while checking one-word rows")
+
+
+def proved_without_covers(l):
+    """Build ``l``'s tables on a fresh poset, then its derived lattices
+    (bounds adjoined, dual, intervals), while the cover matrix, the
+    cover-monotonicity proof and the pair scan all fail when reached."""
+    with mock.patch.object(lk.Poset, "covers_matrix", property(forbidden)), mock.patch.multiple(
+        lk.Lattice, _lattice_laws_hold=forbidden, _scan_pairs=forbidden
+    ):
+        fresh = lk.Lattice(lk.Poset(l.names, l.leq), l.meet, l.join)
+        return [fresh, *derived_lattices(fresh)]
+
+
+class TestIrreducibleRowsProof:
+    """Lattices whose irreducibles fit one word are accepted by
+    ``Lattice._irreducible_rows_prove`` alone; wider ones take the checks
+    on covers."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        proved_without_covers(CATALOG[name]())
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_free_lattices(self, k, extended):
+        proved_without_covers(fd.generate_lattice(k, extended=extended))
+
+    @settings(max_examples=40, deadline=None)
+    @given(searched_lattices())
+    def test_ideals_and_products(self, l):
+        for d in proved_without_covers(l):
+            assert (d.bottom_index, d.top_index) == reference_bounds(d)
+
+    def test_reconstructions(self, case_n1_spec, case_n2_spec):
+        for spec in (case_n1_spec, case_n2_spec):
+            proved_without_covers(lk.reconstruct(spec, with_bounds=True).lattice)
+
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_wide_rows_take_the_cover_checks(self, name):
+        l = WIDE[name]()
+        checked = []
+        laws = lk.Lattice._lattice_laws_hold
+
+        def counted(self):
+            checked.append(self.n)
+            return laws(self)
+
+        with mock.patch.object(lk.Lattice, "_lattice_laws_hold", counted):
+            lk.Lattice(lk.Poset(l.names, l.leq), l.meet, l.join)
+        assert checked == [l.n]
+
+    @pytest.mark.parametrize("name", ["B4", "M3xN5"])
+    def test_every_flipped_order_cell(self, name):
+        """Each single flipped order cell is refused as the reference
+        refuses it.  A pair added between two reducible elements leaves the
+        irreducible rows and the tables as they were: only the half of (1)
+        that takes a <= b to φ(a) ⊆ φ(b) refuses it."""
+        l = CATALOG[name]()
+        for i, j in np.ndindex(l.n, l.n):
+            leq = l.leq.copy()
+            leq[i, j] = not leq[i, j]
+            poset = lk.Poset(l.names, leq)
+            expected = verify_outcome(lambda: reference_verify(poset, l.meet, l.join))
+            assert expected is not None
+            assert verify_outcome(lambda: lk.Lattice(poset, l.meet, l.join)) == expected
+
+    def test_wrong_tables_fall_back(self):
+        b4 = catalog.boolean_lattice(4)
+        a, b = b4.index("{1,2}"), b4.index("{1,3}")
+        meet = np.array(b4.meet)
+        meet[a, b] = meet[b, a] = b4.bottom_index  # a lower bound, not the greatest
+        tables = SimpleNamespace(n=b4.n, leq=b4.leq, meet=meet, join=b4.join)
+        assert not lk.Lattice._irreducible_rows_prove(tables)
+        with pytest.raises(lk.NotALattice) as exc:
+            lk.Lattice(b4.poset, meet, b4.join)
+        assert (exc.value.pair, exc.value.kind) == (("{1,2}", "{1,3}"), "meet")
+
+    def test_scratch_memory_on_b10(self):
+        l = catalog.boolean_lattice(10)
+        tracemalloc.start()
+        try:
+            assert l._irreducible_rows_prove()
+            l._verify()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 # -- bounds and the degree criterion against the table fold and the dual --------
