@@ -189,29 +189,23 @@ class Lattice:
         Every check of :meth:`_verify` holds of the glb and lub of a partial
         order, so none needs running.  This holds whatever S and S′ are.
 
-        They are chosen so that (1)-(3) hold on every lattice: S holds the
-        elements with at most one lower cover, S′ those with at most one
-        upper cover (see :func:`_one_cover_flags`), which in a lattice are
-        J ∪ {0}, the join-irreducibles and the bottom, and M ∪ {1}.  Each
-        element is the join of the join-irreducibles below it (Birkhoff),
-        so φ(a) ⊆ φ(b) gives a ≤ b, and S ∩ down(a ∧ b) = φ(a) ∩ φ(b);
-        dually for ψ.  Only S and S′ of at most 64 elements are tried, so
-        that φ and ψ are one word each: (1) is then one
+        They are chosen so that (1)-(3) hold on every lattice: S and S′ are
+        those of :attr:`Poset.irreducible_rows`, in a lattice J ∪ {0} and
+        M ∪ {1}.  Each element is the join of the join-irreducibles below it
+        (Birkhoff), so φ(a) ⊆ φ(b) gives a ≤ b, and S ∩ down(a ∧ b) =
+        φ(a) ∩ φ(b); dually for ψ.  Only S and S′ of at most 64 elements are
+        tried, so that φ and ψ are one word each: (1) is then one
         :func:`_reflects_order` pass per side, (2) one sort and (3) one
         gather per table, in row blocks.
         """
         n = self.n
         leq, meet, join = self.leq, self.meet, self.join
-        words = []
-        for bounds, lower in ((leq.T, True), (leq, False)):
-            keep = _one_cover_flags(leq, lower)
-            if keep.sum() > 64:
-                return False
-            rows = _pack_rows(bounds[:, keep])
-            if not _reflects_order(rows, bounds, exact=True):
-                return False
-            words.append(rows[:, 0])
-        phi, psi = words
+        _, phi, _, psi = self.poset.irreducible_rows
+        if phi.shape[1] > 1 or psi.shape[1] > 1:
+            return False
+        if not (_reflects_order(phi, leq.T, exact=True) and _reflects_order(psi, leq, exact=True)):
+            return False
+        phi, psi = phi[:, 0], psi[:, 0]
         if len(np.unique(phi)) < n:
             return False
         for block in _row_blocks(n, n):
@@ -317,18 +311,15 @@ def as_lattice(p: Poset) -> Lattice:
     intersection is no principal down-set has no meet.  Joins are the same
     with up-sets.  One lookup (:func:`_pair_lookup`) serves both tables.
 
-    The rows looked up are narrow when they can be (see
-    :func:`_bound_rows`): φ(x), the elements with at most one lower cover
-    that lie below x, which in a lattice are the join-irreducibles and the
-    bottom, so by Birkhoff a few bits name every element.  When φ(a) ⊆ φ(b)
-    holds only for a ≤ b, the argument above holds with φ in place of
-    down: every common lower bound x of a and b has φ(x) ⊆ φ(a) ∩ φ(b), so
-    the element c with φ(c) = φ(a) ∩ φ(b) is a ∧ b, and when a ∧ b exists
-    φ(a ∧ b) = φ(a) ∩ φ(b).  Joins use the elements with at most one upper
-    cover and their up-sets.  A side on which φ does not reflect the order
-    falls back to the full down-set (up-set) rows.  The covers come from
-    :attr:`Poset.covers_matrix`, read off the listed pairs for a poset
-    from :func:`latticekit.poset.build_poset`.
+    The rows looked up are narrow when they can be: φ and ψ of
+    :attr:`Poset.irreducible_rows`, read off the order, not the covers, and
+    read again by the constructor.  In a lattice φ(x) holds the
+    join-irreducibles and the bottom below x, so by Birkhoff a few bits name
+    every element.  When φ(a) ⊆ φ(b) holds only for a ≤ b, the argument
+    above holds with φ in place of down: every common lower bound x of a
+    and b has φ(x) ⊆ φ(a) ∩ φ(b), so the element c with φ(c) = φ(a) ∩ φ(b)
+    is a ∧ b, and when a ∧ b exists φ(a ∧ b) = φ(a) ∩ φ(b); joins likewise
+    with ψ.  A side whose rows do not reflect the order uses the full rows.
 
     Raises :class:`NotALattice` with the witness pair and its set of
     minimal upper (or maximal lower) bounds; the pair is the first failing
@@ -341,10 +332,10 @@ def as_lattice(p: Poset) -> Lattice:
     meet = np.empty((n, n), dtype=np.int16)
     join = np.empty((n, n), dtype=np.int16)
     bad = np.zeros(n, dtype=bool)
-    covers = p.covers_matrix
-    sides = ((join, p.leq, covers.sum(axis=1)), (meet, p.leq.T, covers.sum(axis=0)))
-    for table, bounds, degree in sides:
-        rows = _bound_rows(bounds, degree <= 1)
+    _, phi, _, psi = p.irreducible_rows
+    for table, bounds, rows in ((join, p.leq, psi), (meet, p.leq.T, phi)):
+        if not _reflects_order(rows, bounds):
+            rows = _pack_rows(bounds)
         for block, found, missing in _pair_lookup(rows, np.bitwise_and, rows):
             table[block, block.start :] = found
             table[block.start :, block] = found.T
@@ -353,14 +344,6 @@ def as_lattice(p: Poset) -> Lattice:
     if bad.size:  # the first flagged row holds the pair loop's first failure
         _raise_first_failure(p, int(bad[0]))
     return Lattice(p, meet, join)
-
-
-def _bound_rows(bounds: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Packed rows of the bound sets ``bounds`` (boolean, row x the down-set
-    or up-set of x) cut to the columns ``keep`` when the cut rows still
-    reflect the order (see :func:`_reflects_order`), else the full rows."""
-    rows = _pack_rows(bounds[:, keep])
-    return rows if _reflects_order(rows, bounds) else _pack_rows(bounds)
 
 
 def _reflects_order(rows: np.ndarray, bounds: np.ndarray, exact: bool = False) -> bool:
@@ -374,25 +357,6 @@ def _reflects_order(rows: np.ndarray, bounds: np.ndarray, exact: bool = False) -
         if (inside != expected if exact else inside & ~expected).any():
             return False
     return True
-
-
-def _one_cover_flags(leq: np.ndarray, lower: bool) -> np.ndarray:
-    """Flags the elements of the partial order ``leq`` with at most one
-    lower cover (``lower``), else with at most one upper cover, found
-    without the covers in O(n²): x has one lower cover y exactly when
-    some y < x has |down(y)| = |down(x)| − 1, for then down(y) is down(x)
-    less x, and every z < x lies below y.  One pass over row blocks of
-    ``leq``; on any other boolean matrix the flags mean nothing."""
-    n = len(leq)
-    size = leq.sum(axis=0 if lower else 1)
-    flags = size == 1
-    for block in _row_blocks(n, n):
-        rows = leq[block]
-        if lower:  # y in the block, below x
-            flags |= (rows & (size == size[block, None] + 1)).any(axis=0)
-        else:  # x in the block, below y
-            flags[block] |= (rows & (size[block, None] == size + 1)).any(axis=1)
-    return flags
 
 
 def _check_limit(n: int, limit: Optional[int] = None) -> None:
@@ -592,17 +556,18 @@ class JoinIrreducibles:
 
 
 def join_irreducibles(l: Lattice, include_bottom: bool = False) -> JoinIrreducibles:
-    """Elements with at most one lower cover.
+    """Elements with at most one lower cover (S of :attr:`Poset.irreducible_rows`).
 
     With ``include_bottom=False`` (the Birkhoff convention) the bottom is
     excluded; with True it is included, matching the reading under which
-    the glb of the whole lattice counts as join irreducible.
+    the glb of the whole lattice counts as join irreducible.  The lower
+    cover of j is the y < j with |down(y)| = |down(j)| − 1 (down(j) less j).
     """
-    covers = l.poset.covers_matrix
-    single = covers.sum(axis=0) == 1
+    single = l.poset.irreducible_rows[0].copy()
     single[l.bottom_index] = include_bottom
     irr = np.flatnonzero(single).tolist()
-    below = covers[:, irr].argmax(axis=0).tolist()  # each one's lower cover
+    size = l.leq.sum(axis=0)
+    below = (l.leq[:, irr] & (size[:, None] == size[irr] - 1)).argmax(axis=0).tolist()
     lower = {
         l.names[i]: None if i == l.bottom_index else l.names[j] for i, j in zip(irr, below)
     }

@@ -91,7 +91,10 @@ class Poset:
         from, and J(P) from :func:`latticekit.birkhoff.ideals_lattice` from
         its union table, set at build time (:func:`_set_covers`).  A poset
         built from ``leq`` directly finds it here, on first use, by a
-        float32 matmul, O(n³).
+        float32 matmul, O(n³).  Grading, chains, isomorphism, interval
+        classes, the modular and pentagon certificates and the lattice check
+        on rows wider than a word read it; irreducibles come from
+        :attr:`irreducible_rows`.
         """
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts are exact: each is at most n - 2, far below 2**24
@@ -103,9 +106,26 @@ class Poset:
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (lower, upper) as indices, in canonical order."""
+        """Cover pairs (lower, upper) as indices, in canonical order, which is
+        the row-major order of ``np.nonzero``."""
         lo, up = np.nonzero(self.covers_matrix)
-        return tuple(sorted(zip(lo.tolist(), up.tolist())))
+        return tuple(zip(lo.tolist(), up.tolist()))
+
+    @cached_property
+    def irreducible_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(S, φ, S′, ψ), read off the order alone in O(n²): S flags the
+        elements with at most one lower cover (:func:`_one_cover_flags`) and
+        φ(x) = S ∩ down(x) are packed rows; S′ and ψ(x) = S′ ∩ up(x) are the
+        same upward.  In a lattice S = J ∪ {0} and S′ = M ∪ {1}.  The table
+        lookup, the lattice check, the join-irreducibles and both
+        distributivity certificates read these rows, and no covers."""
+        below, above = (_one_cover_flags(self.leq, lower) for lower in (True, False))
+        # packbits is fast on C-ordered rows only, which a[:, flags] does not give
+        down, up = np.ascontiguousarray(self.leq[below].T), np.compress(above, self.leq, axis=1)
+        view = (below, _pack_rows(down), above, _pack_rows(up))
+        for part in view:
+            part.flags.writeable = False
+        return view
 
     def cover_names(self) -> list[tuple[str, str]]:
         return [(self.names[a], self.names[b]) for a, b in self.cover_pairs]
@@ -177,6 +197,25 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     ``TABLE_BLOCK_CELLS`` cells per slice."""
     block = max(1, TABLE_BLOCK_CELLS // max(cols, 1))
     return [slice(start, start + block) for start in range(0, rows, block)]
+
+
+def _one_cover_flags(leq: np.ndarray, lower: bool) -> np.ndarray:
+    """Flags the elements of the partial order ``leq`` with at most one
+    lower cover (``lower``), else with at most one upper cover, found
+    without the covers in O(n²): x has one lower cover y exactly when
+    some y < x has |down(y)| = |down(x)| − 1, for then down(y) is down(x)
+    less x, and every z < x lies below y.  One pass over row blocks of
+    ``leq``; on any other boolean matrix the flags mean nothing."""
+    n = len(leq)
+    size = leq.sum(axis=0 if lower else 1, dtype=np.int32)
+    flags = size == 1
+    for block in _row_blocks(n, n):
+        rows = leq[block]
+        if lower:  # y in the block, below x
+            flags |= (rows & (size == size[block, None] + 1)).any(axis=0)
+        else:  # x in the block, below y
+            flags[block] |= (rows & (size[block, None] == size + 1)).any(axis=1)
+    return flags
 
 
 # -- construction ---------------------------------------------------------

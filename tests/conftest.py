@@ -274,6 +274,21 @@ def reference_unequal_chain_witness(l):
     )
 
 
+def reference_join_irreducibles(l, include_bottom=False):
+    """``join_irreducibles`` read off the cover matrix: the elements with
+    exactly one lower cover (and the bottom when ``include_bottom``), each
+    with its lower cover (None for the bottom)."""
+    covers = l.poset.covers_matrix
+    single = covers.sum(axis=0) == 1
+    single[l.bottom_index] = include_bottom
+    irr = np.flatnonzero(single).tolist()
+    below = covers[:, irr].argmax(axis=0).tolist()
+    lower = {
+        l.names[i]: None if i == l.bottom_index else l.names[j] for i, j in zip(irr, below)
+    }
+    return lk.JoinIrreducibles(tuple(l.names[i] for i in irr), lower)
+
+
 def reference_bounds(l):
     """(bottom, top) indices by folding the meet and join tables over every
     element."""
@@ -440,6 +455,21 @@ def searched_lattices(draw, factors=(None, catalog.diamond, catalog.pentagon)):
         if factor is not None:
             l = product_lattice(factor(), l)
         return reordered_lattice(l, draw(st.permutations(range(l.n))))
+
+
+def chain_lattice(k):
+    return lk.as_lattice(catalog.chain_poset(k))
+
+
+def diamond_lattice(k):
+    """M_k: a bottom, k atoms and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    return lk.as_lattice(lk.build_poset(["0", *atoms, "1"], covers))
+
+
+# more than 64 join-irreducibles (and meet-irreducibles): rows wider than a word
+WIDE = {"chain200": lambda: chain_lattice(200), "M100": lambda: diamond_lattice(100)}
 
 
 CATALOG = {

@@ -11,16 +11,20 @@ import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
 from latticekit import io as lkio
+from latticekit import properties
 from latticekit import lattice as lattice_module
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
-from latticekit.poset import _pack_rows, order_ideal_masks
+from latticekit.poset import order_ideal_masks
 
 from conftest import (
     BLOCK_CELLS,
     CATALOG,
+    WIDE,
     reference_bounds,
     reference_degree,
+    reference_distributive_identity_violation,
     reference_first_bound_tables,
+    reference_join_irreducibles,
     reference_set_tables,
     reference_unequal_chain_witness,
     reference_verify,
@@ -405,6 +409,16 @@ def tables_outcome(build):
     return meet.tobytes(), join.tobytes(), bottom, top
 
 
+def lattice_outcome(p):
+    """``as_lattice(p)`` as :func:`tables_outcome`."""
+
+    def build():
+        l = lk.as_lattice(p)
+        return l.meet, l.join, l.bottom_index, l.top_index
+
+    return tables_outcome(build)
+
+
 class TestAsLatticeMatchesFirstCommonBound:
     """The one pair lookup gives the tables and witnesses of the
     linear-extension search it replaced."""
@@ -412,20 +426,17 @@ class TestAsLatticeMatchesFirstCommonBound:
     @settings(max_examples=150, deadline=None)
     @given(wide_partial_orders(), st.sampled_from(BLOCK_CELLS))
     def test_random_orders(self, p, cells):
-        def library():
-            l = lk.as_lattice(p)
-            return l.meet, l.join, l.bottom_index, l.top_index
-
         with table_blocks(cells):
             expected = tables_outcome(lambda: reference_first_bound_tables(p))
-            assert tables_outcome(library) == expected
+            assert lattice_outcome(p) == expected
 
 
 def lookup_outcomes(p):
     """``as_lattice(p)`` as :func:`tables_outcome`, on its narrow rows and on
-    full-width rows, and for the narrow run the width of each side's rows
-    and whether they reflected the order (join side first).  The
-    constructor's own equivalence checks (``exact``) are not recorded."""
+    full-width rows (every side refused, so that it falls back), and for
+    the narrow run the width of each side's rows and whether they reflected
+    the order (join side first).  The constructor's own equivalence checks
+    (``exact``) are not recorded."""
     sides = []
     reflects_order = lattice_module._reflects_order
 
@@ -435,14 +446,13 @@ def lookup_outcomes(p):
         sides.append((rows.shape[1], reflects_order(rows, bounds)))
         return sides[-1][1]
 
-    def build():
-        l = lk.as_lattice(p)
-        return l.meet, l.join, l.bottom_index, l.top_index
+    def refused(rows, bounds, exact=False):
+        return reflects_order(rows, bounds, exact=True) if exact else False
 
     with mock.patch.object(lattice_module, "_reflects_order", spy):
-        narrow = tables_outcome(build)
-    with mock.patch.object(lattice_module, "_bound_rows", lambda bounds, keep: _pack_rows(bounds)):
-        full = tables_outcome(build)
+        narrow = lattice_outcome(p)
+    with mock.patch.object(lattice_module, "_reflects_order", refused):
+        full = lattice_outcome(p)
     return narrow, full, sides
 
 
@@ -505,9 +515,12 @@ class TestAsLatticeNarrowRowsMatchFullWidth:
         ids=["vee", "wedge", "bowtie"],
     )
     def test_small_non_lattices(self, elements, covers, failure, reflects):
-        narrow, full, sides = lookup_outcomes(lk.build_poset(elements, covers))
+        p = lk.build_poset(elements, covers)
+        narrow, full, sides = lookup_outcomes(p)
         assert narrow == full and narrow[:3] == failure
         assert sides == [(1, reflects), (1, reflects)]
+        with covers_forbidden():  # built from its order: no covers cached
+            assert lattice_outcome(lk.Poset(p.names, p.leq)) == narrow
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(wide_partial_orders(), shuffled_posets()))
@@ -696,21 +709,6 @@ def verify_outcome(check):
     return None
 
 
-def chain_lattice(k):
-    return lk.as_lattice(catalog.chain_poset(k))
-
-
-def diamond_lattice(k):
-    """M_k: a bottom, k atoms and a top."""
-    atoms = [f"a{i}" for i in range(k)]
-    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
-    return lk.as_lattice(lk.build_poset(["0", *atoms, "1"], covers))
-
-
-# more than 64 join-irreducibles (and meet-irreducibles): rows wider than a word
-WIDE = {"chain200": lambda: chain_lattice(200), "M100": lambda: diamond_lattice(100)}
-
-
 @st.composite
 def corrupted_tables(draw, wide=False):
     """The order and tables of a catalog lattice, a J(P) or a product with
@@ -893,7 +891,7 @@ class TestIrreducibleRowsProof:
         a, b = b4.index("{1,2}"), b4.index("{1,3}")
         meet = np.array(b4.meet)
         meet[a, b] = meet[b, a] = b4.bottom_index  # a lower bound, not the greatest
-        tables = SimpleNamespace(n=b4.n, leq=b4.leq, meet=meet, join=b4.join)
+        tables = SimpleNamespace(n=b4.n, poset=b4.poset, leq=b4.leq, meet=meet, join=b4.join)
         assert not lk.Lattice._irreducible_rows_prove(tables)
         with pytest.raises(lk.NotALattice) as exc:
             lk.Lattice(b4.poset, meet, b4.join)
@@ -909,6 +907,46 @@ class TestIrreducibleRowsProof:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def covers_forbidden():
+    return mock.patch.object(lk.Poset, "covers_matrix", property(forbidden))
+
+
+def assert_read_without_covers(l):
+    """On a fresh poset of ``l``'s order, with the cover matrix failing when
+    reached, ``as_lattice`` gives the first-common-bound reference's
+    tables, ``join_irreducibles`` the cover-based reference's, and both
+    distributivity certificates pass exactly when their identity holds."""
+    p = lk.Poset(l.names, l.leq)
+    tables = tables_outcome(lambda: reference_first_bound_tables(p))
+    irreducibles = [reference_join_irreducibles(l, bottom) for bottom in (False, True)]
+    holds = [reference_distributive_identity_violation(l, dual) is None for dual in (False, True)]
+    with covers_forbidden():
+        fresh = lk.as_lattice(p)
+        assert (fresh.meet.tobytes(), fresh.join.tobytes(), fresh.bottom_index, fresh.top_index) == tables
+        assert [lk.join_irreducibles(fresh, bottom) for bottom in (False, True)] == irreducibles
+        certificates = [properties._distributive_on_irreducibles(fresh, d) for d in (False, True)]
+        assert certificates == holds
+
+
+class TestIrreduciblesReadNoCovers:
+    """``as_lattice``, ``join_irreducibles`` and both distributivity
+    certificates read :attr:`Poset.irreducible_rows`, never the covers."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert_read_without_covers(CATALOG[name]())
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_free_lattices(self, k, extended):
+        assert_read_without_covers(fd.generate_lattice(k, extended=extended))
+
+    @settings(max_examples=40, deadline=None)
+    @given(searched_lattices())
+    def test_ideals_and_products(self, l):
+        assert_read_without_covers(l)
 
 
 # -- bounds and the degree criterion against the table fold and the dual --------

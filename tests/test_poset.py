@@ -293,7 +293,10 @@ class TestCoversFromListedPairs:
     """build_poset reads the covers off its pairs, not off a matmul."""
 
     @settings(max_examples=80, deadline=None)
-    @given(listed_pairs(), st.sampled_from(BLOCK_CELLS))
+    @given(
+        st.one_of(listed_pairs(), random_posets().map(lambda p: (list(p.names), p.cover_names()))),
+        st.sampled_from(BLOCK_CELLS),
+    )
     def test_match_the_matmul_and_its_warnings(self, case, cells):
         names, covers = case
         with warnings.catch_warnings(record=True) as caught, table_blocks(cells):
@@ -301,6 +304,8 @@ class TestCoversFromListedPairs:
             p = lk.build_poset(names, covers)
         reference = lk.Poset(p.names, p.leq)  # built from leq: the matmul
         assert np.array_equal(p.covers_matrix, reference.covers_matrix)
+        for q in (p, reference):  # (lower, upper) ascending
+            assert list(q.cover_pairs) == sorted(map(tuple, np.argwhere(q.covers_matrix).tolist()))
         # the warnings the matmul's reduction gave: dropped pairs by index
         reduction = set(reference.cover_pairs)
         pairs = {(p.index(a), p.index(b)) for a, b in covers}

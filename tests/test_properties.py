@@ -16,6 +16,8 @@ from conftest import (
     BLOCK_CELLS,
     CATALOG,
     FIXTURES,
+    WIDE,
+    chain_lattice,
     distributive_fixture_lattices,
     product_lattice,
     reference_distributive_identity_violation,
@@ -415,6 +417,32 @@ class TestIdentityWitnessesMatchReference:
 
     def test_b1(self):
         assert_witnesses_match(catalog.boolean_lattice(1))
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_each_certificate_reads_its_own_side(self, dualized):
+        """The identity's certificate reads ψ and the dual's φ, so the two
+        criteria stay independent: rows with no union law on one side fail
+        that side's certificate alone."""
+        b3 = catalog.boolean_lattice(3)
+        l = lk.Lattice(lk.Poset(b3.names, b3.leq), b3.meet, b3.join)
+        below, phi, above, psi = l.poset.irreducible_rows
+        broken = (np.uint64(1) << np.arange(l.n, dtype=np.uint64))[:, None]  # one bit each
+        view = (below, phi, above, broken) if dualized else (below, broken, above, psi)
+        l.poset.__dict__["irreducible_rows"] = view  # the cached_property's slot
+        assert properties._distributive_on_irreducibles(l, dualized)
+        assert not properties._distributive_on_irreducibles(l, not dualized)
+
+    @pytest.mark.parametrize("factor", [None, catalog.diamond, catalog.pentagon])
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_rows_wider_than_a_word(self, name, factor):
+        # chain200's products (1005 elements) take a minute under the cubic
+        # references; a 71-element chain with M3 or N5 also needs two words
+        l = chain_lattice(70) if factor and name == "chain200" else WIDE[name]()
+        if factor is not None:
+            l = product_lattice(factor(), l)
+        for x in (l, l.dual):
+            assert min(x.poset.irreducible_rows[k].shape[1] for k in (1, 3)) > 1
+        assert_witnesses_match(l)
 
 
 # -- cubic scans only where a certificate fails -------------------------------------
