@@ -18,14 +18,14 @@ import numpy as np
 from .errors import InvalidArgument, InvariantViolation, NotDistributive, UnknownElement
 from .freedist import _mask_indices
 from .lattice import (
-    Edge, Lattice, _check_limit, _pair_lookup, join_irreducibles, set_family_tables
+    Edge, Lattice, _check_limit, _pair_lookup, join_irreducibles, set_family_lattice
 )
 from .poset import (
     DEFAULT_IDEAL_CAP,
     Poset,
     _canonical_rows,
     _pack_rows,
-    _set_covers,
+    _subset_blocks,
     _unpack_rows,
     is_isomorphic,
     order_ideal_masks,
@@ -76,30 +76,20 @@ def ideals_lattice(
     Join is union, meet is intersection; the cover edge I < I + {x} is
     labeled x.  Default element names are brace sets like ``{a,b}``.
 
-    The covers are read off the union table before the :class:`Lattice`
-    is built, and fill :attr:`Poset.covers_matrix`, so no matmul runs.
-    Unverified tables may not feed the constructor's check its covers, but
-    these are not unverified: :func:`set_family_tables` confirms each union
-    word by word, so join[I, down(x)] is I ∪ down(x).  That is I ∪ {x}, a
-    cover of I, exactly when it is one element larger; and every cover
-    I ⋖ I′ of down-sets adds one element x, since I ∪ {x} is a down-set
-    for each minimal x of I′ less I.
+    J(P) is a ring of sets, so :func:`set_family_lattice` builds it with
+    its covers read off the union table.  Each cover of I is I ∪ down(x) =
+    I ∪ {x} for one x, and down(x) is the join-irreducible it goes up by;
+    that x labels it.  One gather of I ∪ down(x) for every I and x finds
+    them, in O(n·|P|), lower ascending, then x ascending.
     """
     namer = namer or brace_name
     rows = order_ideal_masks(p, cap)
-    leq, meet, join = set_family_tables(rows)
     inside = _unpack_rows(rows, p.n)
     names = [namer(tuple(compress(p.names, row))) for row in inside.tolist()]
-
-    # I ∪ down(x) for every I and x (the first row holding x is down(x));
-    # it covers I, adding x alone, exactly when it is one element larger
-    size = inside.sum(axis=1)
-    grown = join[:, inside.argmax(axis=0)]
-    lower, added = np.nonzero(size[grown] == size[:, None] + 1)
+    lattice = set_family_lattice(names, rows)
+    grown = lattice.join[:, inside.argmax(axis=0)]  # the first row holding x is down(x)
+    lower, added = np.nonzero(lattice.poset.covers_matrix[np.arange(len(rows))[:, None], grown])
     upper = grown[lower, added]
-    poset = Poset(names, leq)
-    _set_covers(poset, (lower, upper))
-    lattice = Lattice(poset, meet, join)
     labels: dict[Edge, str] = {
         (names[i], names[j]): p.names[x]
         for i, j, x in zip(lower.tolist(), upper.tolist(), added.tolist())
@@ -279,8 +269,16 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
 def _covers_of(nodes: np.ndarray, base: np.ndarray) -> np.ndarray:
     """The minimal rows of ``nodes`` strictly above the row ``base``."""
     above = nodes[((nodes & base) == base).all(axis=1) & (nodes != base).any(axis=1)]
-    inside = ((above[None, :, :] & ~above[:, None, :]) == 0).all(axis=2)  # [u, v]: v ⊆ u
-    return above[inside.sum(axis=1) == 1]
+    return above[_inclusion_order(above).sum(axis=0) == 1]
+
+
+def _inclusion_order(nodes: np.ndarray) -> np.ndarray:
+    """``leq[u, v]``: packed row u is a subset of row v.  Built one row
+    block at a time, so nothing beyond the (m, m) result is m²-sized."""
+    leq = np.empty((len(nodes), len(nodes)), dtype=bool)
+    for block, inside in _subset_blocks(nodes):
+        leq[block] = inside
+    return leq
 
 
 def _close_under_union(nodes: np.ndarray, seeds: np.ndarray) -> Optional[np.ndarray]:
@@ -309,7 +307,7 @@ def _snapshot(p: Poset, nodes: np.ndarray, description: str) -> TraceStep:
     edge that adds one element is labeled by it."""
     bits = _unpack_rows(nodes, p.n)
     names = [_node_name(p, row) for row in bits.tolist()]
-    snap = Poset(names, ((nodes[:, None, :] & ~nodes[None, :, :]) == 0).all(axis=2))
+    snap = Poset(names, _inclusion_order(nodes))
     lower, upper = np.array(snap.cover_pairs, dtype=np.intp).reshape(-1, 2).T
     added = bits[upper] & ~bits[lower]
     one = np.flatnonzero(added.sum(axis=1) == 1)

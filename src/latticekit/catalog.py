@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 
-from .lattice import Lattice, as_lattice, set_family_tables
+from .lattice import Lattice, as_lattice, set_family_lattice
 from .poset import Poset, build_poset
 
 
@@ -39,8 +39,7 @@ def boolean_poset(n: int) -> Poset:
 
 def boolean_lattice(n: int) -> Lattice:
     masks, names = _boolean_family(n)
-    leq, meet, join = set_family_tables(masks.astype(np.uint64)[:, None])
-    return Lattice(Poset(names, leq), meet, join)
+    return set_family_lattice(names, masks.astype(np.uint64)[:, None])
 
 
 def pentagon_poset() -> Poset:

@@ -25,8 +25,7 @@ from .errors import (
     SizeLimitExceeded,
     UnknownVariable,
 )
-from .lattice import Lattice, _check_limit, set_family_tables
-from .poset import Poset
+from .lattice import Lattice, _check_limit, set_family_lattice
 
 GENERATE_CAP = 5
 COUNT_CAP = 6
@@ -333,8 +332,7 @@ def generate_lattice(n: int, extended: bool = False, *, limit: Optional[int] = N
     names = [
         "0̂" if e.is_bottom else "1̂" if e.is_top else render(e) for e in elements
     ]
-    leq, meet, join = set_family_tables(tts[order, None])
-    return Lattice(Poset(names, leq), meet, join)
+    return set_family_lattice(names, tts[order, None])
 
 
 def dedekind_count(n: int) -> int:

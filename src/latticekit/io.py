@@ -7,9 +7,10 @@ Poset/lattice files share one shape:
       "labels":   { "0|a": "g", ... } }        # optional, keyed lower|upper
 
 Files are written byte-identical to ``json.dumps(d, ensure_ascii=False,
-indent=2)`` plus a newline, but formatted directly: every string goes
-through ``json.encoder.encode_basestring``, the C routine that
-``json.dumps`` calls on a string, and the indented layout is the fixed
+indent=2)`` plus a newline, ``d`` being :func:`poset_to_dict`, but
+formatted directly: every string goes through
+``json.encoder.encode_basestring``, the C routine that ``json.dumps`` calls
+on a string, each element name once, and the indented layout is the fixed
 one above, so the pure-Python encoder that ``indent`` forces is never run.
 
 DOT output is a digraph with edges oriented lower to upper, rankdir=BT,
@@ -38,15 +39,21 @@ def poset_to_dict(p: Poset, labels: Optional[dict] = None) -> dict:
         "covers": [[a, b] for a, b in p.cover_names()],
     }
     if labels:
-        for (a, b), lab in labels.items():
-            if "|" in a or "|" in b:
-                raise InvalidSpec(
-                    "element names may not contain '|' when labels are stored"
-                )
-            if not isinstance(lab, str):
-                raise InvalidSpec(f"label of edge {a!r} -> {b!r} must be a string, not {lab!r}")
-        out["labels"] = {f"{a}|{b}": lab for (a, b), lab in sorted(labels.items())}
+        out["labels"] = _label_entries(labels)
     return out
+
+
+def _label_entries(labels: dict) -> dict:
+    """The ``labels`` object of the file shape: edge labels keyed
+    ``lower|upper``, in sorted edge order."""
+    for (a, b), lab in labels.items():
+        if "|" in a or "|" in b:
+            raise InvalidSpec(
+                "element names may not contain '|' when labels are stored"
+            )
+        if not isinstance(lab, str):
+            raise InvalidSpec(f"label of edge {a!r} -> {b!r} must be a string, not {lab!r}")
+    return {f"{a}|{b}": lab for (a, b), lab in sorted(labels.items())}
 
 
 def poset_from_dict(data: dict, limit: Optional[int] = None) -> tuple[Poset, dict]:
@@ -99,12 +106,16 @@ def read_poset(path: PathLike, limit: Optional[int] = None) -> tuple[Poset, dict
 
 
 def write_poset(path: PathLike, p: Poset, labels: Optional[dict] = None) -> None:
-    Path(path).write_text(_dumps(poset_to_dict(p, labels)), encoding="utf-8")
+    text = _dumps(p.names, p.cover_pairs, _label_entries(labels) if labels else None)
+    Path(path).write_text(text, encoding="utf-8")
 
 
-def _dumps(data: dict) -> str:
-    """``json.dumps(data, ensure_ascii=False, indent=2) + "\\n"`` for the
-    file shape above, whose names and labels are all strings."""
+def _dumps(elements, pairs, labels: Optional[dict]) -> str:
+    """``json.dumps(d, ensure_ascii=False, indent=2) + "\\n"`` for the ``d``
+    of the file shape above whose elements are ``elements``, whose covers
+    are ``pairs`` given as (lower, upper) indices into them, and whose
+    labels object is ``labels`` (None for no labels).  Each name is encoded
+    once; the cover lines reuse the encoded names."""
 
     def block(items: list[str], brackets: str, indent: str) -> str:
         if not items:
@@ -113,14 +124,11 @@ def _dumps(data: dict) -> str:
         return f"{brackets[0]}\n{indent}  {inner.join(items)}\n{indent}{brackets[1]}"
 
     q = encode_basestring
-    pairs = [f"[\n      {q(a)},\n      {q(b)}\n    ]" for a, b in data["covers"]]
-    fields = {
-        "elements": block([q(x) for x in data["elements"]], "[]", "  "),
-        "covers": block(pairs, "[]", "  "),
-    }
-    if "labels" in data:
-        labels = [f"{q(k)}: {q(v)}" for k, v in data["labels"].items()]
-        fields["labels"] = block(labels, "{}", "  ")
+    names = [q(x) for x in elements]
+    covers = [f"[\n      {names[a]},\n      {names[b]}\n    ]" for a, b in pairs]
+    fields = {"elements": block(names, "[]", "  "), "covers": block(covers, "[]", "  ")}
+    if labels is not None:
+        fields["labels"] = block([f"{q(k)}: {q(v)}" for k, v in labels.items()], "{}", "  ")
     return block([f"{q(k)}: {v}" for k, v in fields.items()], "{}", "") + "\n"
 
 

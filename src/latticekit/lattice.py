@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,16 @@ from .errors import (
     NotRestricted,
     SizeLimitExceeded,
 )
-from .poset import Poset, _pack_rows, _row_blocks, _set_keys, dual_poset
+from .poset import (
+    Poset,
+    _known_covers,
+    _pack_rows,
+    _row_blocks,
+    _set_covers,
+    _set_keys,
+    _subset_blocks,
+    dual_poset,
+)
 
 VERIFY_LIMIT = 2000  # exhaustive table verification cap
 RANK_IRREDUCIBLE_CAP = 20
@@ -350,9 +359,7 @@ def _reflects_order(rows: np.ndarray, bounds: np.ndarray, exact: bool = False) -
     """Whether packed row a ⊆ row b holds only when ``bounds[b, a]`` (with
     ``exact``, exactly when): one pass in row blocks, O(n²·words) word
     operations."""
-    outside = ~rows
-    for block in _row_blocks(len(rows), rows.size):
-        inside = ~(rows[block, None] & outside).any(axis=2)
+    for block, inside in _subset_blocks(rows):
         expected = bounds[:, block].T
         if (inside != expected if exact else inside & ~expected).any():
             return False
@@ -475,6 +482,58 @@ def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return leq, meet, join
 
 
+def set_family_lattice(names: Sequence[str], members: np.ndarray) -> Lattice:
+    """The lattice of a family of sets closed under intersection and union
+    (a ring of sets), one set per row of ``members`` as in
+    :func:`set_family_tables`, named by ``names``; J(P), B_n and FD(n) are
+    built here.
+
+    Its covers are read off the join table (:func:`_ring_covers`) and set
+    before the :class:`Lattice` is built, so no matmul runs.  Covers read
+    off tables that are not yet verified may not feed the constructor's
+    check, which reads them on rows wider than a word; but these tables
+    are known good before any check: :func:`set_family_tables` confirms
+    every intersection and union word by word, so the order is inclusion,
+    the meet ∩ and the join ∪, and a ring of sets is a distributive
+    lattice, the one case the cover rule needs.
+    """
+    leq, meet, join = set_family_tables(members)
+    poset = Poset(names, leq)
+    _set_covers(poset, _ring_covers(poset, join))
+    return Lattice(poset, meet, join)
+
+
+def _ring_covers(poset: Poset, join: np.ndarray) -> np.ndarray:
+    """The cover matrix of a distributive lattice with order ``poset`` and
+    join table ``join``, found in O(n·|J|) over row blocks of J.
+
+    By Birkhoff, x ↦ J(x), the join-irreducibles below x, maps the lattice
+    onto the down-sets of J, and x ⋖ y exactly when J(y) is J(x) plus one
+    j.  That j lies outside J(x) with every join-irreducible below it
+    inside; those lie below its one lower cover j₊ and join to it, so the
+    condition is j ≰ x and j₊ ≤ x.  Then y = x ∨ j, since J(x ∨ j) =
+    J(x) ∪ J(j) (join-irreducibles are join-prime in a distributive
+    lattice) = J(x) ∪ {j}.  J comes from :attr:`Poset.irreducible_rows`:
+    its S, J and the bottom, which gives no pairs, as no x lacks it.
+    """
+    leq = poset.leq
+    irr = np.flatnonzero(poset.irreducible_rows[0])
+    lower = _single_lower_covers(leq, leq.sum(axis=0, dtype=np.int32), irr)
+    covers = np.zeros(leq.shape, dtype=bool)
+    for block in _row_blocks(len(irr), len(leq)):
+        j, x = np.nonzero(leq[lower[block]] & ~leq[irr[block]])
+        covers[x, join[x, irr[block][j]]] = True
+    return covers
+
+
+def _single_lower_covers(leq: np.ndarray, size: np.ndarray, irr: np.ndarray) -> np.ndarray:
+    """The lower cover of each element j of ``irr`` that has exactly one:
+    the y < j with |down(y)| = |down(j)| − 1 (``size`` holds the
+    |down(y)|), for down(y) is then down(j) less j.  For the bottom, which
+    has none, the index returned means nothing."""
+    return (leq[:, irr] & (size[:, None] == size[irr] - 1)).argmax(axis=0)
+
+
 # -- grading -----------------------------------------------------------------
 
 
@@ -565,9 +624,9 @@ def join_irreducibles(l: Lattice, include_bottom: bool = False) -> JoinIrreducib
     """
     single = l.poset.irreducible_rows[0].copy()
     single[l.bottom_index] = include_bottom
-    irr = np.flatnonzero(single).tolist()
-    size = l.leq.sum(axis=0)
-    below = (l.leq[:, irr] & (size[:, None] == size[irr] - 1)).argmax(axis=0).tolist()
+    irr = np.flatnonzero(single)
+    below = _single_lower_covers(l.leq, l.leq.sum(axis=0, dtype=np.int32), irr).tolist()
+    irr = irr.tolist()
     lower = {
         l.names[i]: None if i == l.bottom_index else l.names[j] for i, j in zip(irr, below)
     }
@@ -638,14 +697,21 @@ def rank(l: Lattice, *, irreducible_cap: int = RANK_IRREDUCIBLE_CAP) -> RankResu
 
 
 def interval_sublattice(l: Lattice, a: str, b: str) -> Lattice:
-    """The interval [a, b] as a lattice (tables restricted and reindexed)."""
+    """The interval [a, b] as a lattice (tables restricted and reindexed).
+
+    An interval is convex, so its covers are the lattice's covers between
+    its elements; they pass over when the lattice has them."""
     ia, ib = l.index(a), l.index(b)
     if not l.leq[ia, ib]:
         raise NotComparable(f"{a!r} is not below {b!r}")
     keep = np.flatnonzero(l.leq[ia] & l.leq[:, ib])
     # keep is ascending, so searchsorted gives each element's new index
     meet, join = (np.searchsorted(keep, t[np.ix_(keep, keep)]) for t in (l.meet, l.join))
-    return Lattice(l.poset.restrict(keep.tolist()), meet, join)
+    poset = l.poset.restrict(keep.tolist())
+    covers = _known_covers(l.poset)
+    if covers is not None:
+        _set_covers(poset, covers[np.ix_(keep, keep)])
+    return Lattice(poset, meet, join)
 
 
 def add_bounds(
@@ -654,7 +720,10 @@ def add_bounds(
     bottom: Optional[str] = None,
     top: Optional[str] = None,
 ) -> Lattice:
-    """Adjoin a new bottom and/or top element strictly outside the lattice."""
+    """Adjoin a new bottom and/or top element strictly outside the lattice.
+
+    The covers, when the lattice has them, are its own plus new bottom ⋖
+    old bottom and old top ⋖ new top."""
     names = list(l.names)
     n = l.n
     extra = []
@@ -694,4 +763,12 @@ def add_bounds(
         leq[b, t] = True
         meet[b, t] = meet[t, b] = b
         join[b, t] = join[t, b] = t
-    return Lattice(Poset(names, leq), meet, join)
+    poset = Poset(names, leq)
+    covers = _known_covers(l.poset)
+    if covers is not None:
+        ends = {"bottom": (n, l.bottom_index), "top": (l.top_index, m - 1)}
+        grown = np.zeros((m, m), dtype=bool)
+        grown[:n, :n] = covers
+        grown[tuple(zip(*(ends[kind] for kind, _ in extra)))] = True
+        _set_covers(poset, grown)
+    return Lattice(poset, meet, join)

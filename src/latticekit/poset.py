@@ -87,14 +87,21 @@ class Poset:
     def covers_matrix(self) -> np.ndarray:
         """Boolean matrix of the transitive reduction (j covers i).
 
-        A poset from :func:`build_poset` has it from the pairs it was built
-        from, and J(P) from :func:`latticekit.birkhoff.ideals_lattice` from
-        its union table, set at build time (:func:`_set_covers`).  A poset
-        built from ``leq`` directly finds it here, on first use, by a
-        float32 matmul, O(n³).  Grading, chains, isomorphism, interval
-        classes, the modular and pentagon certificates and the lattice check
-        on rows wider than a word read it; irreducibles come from
-        :attr:`irreducible_rows`.
+        Most builders set it when they build the poset (:func:`_set_covers`):
+        :func:`build_poset` from the pairs it was given, lattices of sets
+        (:func:`latticekit.lattice.set_family_lattice`: J(P), B_n, FD(n))
+        from their join table, and the dual, intervals and adjoined bounds
+        of a lattice from its own covers.  Covers read off tables are safe
+        to hand the constructor's check (which reads them on rows wider than
+        a word) only because those tables are already known to be right:
+        ``set_family_tables`` confirms every ∩ and ∪ word by word, and a
+        ring of sets is distributive.  A poset built from a bare order
+        (Stanley's snapshots, :meth:`restrict`, ``Poset(names, leq)`` handed
+        to ``as_lattice``) finds it here, on first use, by a float32
+        matmul, O(n³) time and two n² float32 temporaries.  Grading, chains,
+        isomorphism, interval classes, the modular and pentagon certificates
+        and the lattice check on rows wider than a word read it;
+        irreducibles come from :attr:`irreducible_rows`.
         """
         lt = self.leq & ~np.eye(self.n, dtype=bool)
         # float32 counts are exact: each is at most n - 2, far below 2**24
@@ -199,6 +206,16 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(start, start + block) for start in range(0, rows, block)]
 
 
+def _subset_blocks(rows: np.ndarray):
+    """``(block, inside)`` for each row block of the packed ``rows`` (see
+    :func:`_row_blocks`): ``inside[i', j]`` is whether row i (counted from
+    the block's first row) is a subset of row j.  No (m, m, words)
+    temporary: about ``TABLE_BLOCK_CELLS`` words at a time."""
+    outside = ~rows
+    for block in _row_blocks(len(rows), rows.size):
+        yield block, ~(rows[block, None] & outside).any(axis=2)
+
+
 def _one_cover_flags(leq: np.ndarray, lower: bool) -> np.ndarray:
     """Flags the elements of the partial order ``leq`` with at most one
     lower cover (``lower``), else with at most one upper cover, found
@@ -256,7 +273,9 @@ def build_poset(
     down, listed = _closure(n, pairs, names)
     poset = Poset(names, _unpack_rows(down, n).T)
     redundant = _redundant_pairs(_pack_rows(poset.leq), down, listed)
-    _set_covers(poset, listed[:, ~redundant])
+    covers = np.zeros((n, n), dtype=bool)
+    covers[tuple(listed[:, ~redundant])] = True
+    _set_covers(poset, covers)
 
     if warn_redundant:
         for a, b in sorted(listed[:, redundant].T.tolist()):
@@ -268,14 +287,18 @@ def build_poset(
     return poset
 
 
-def _set_covers(poset: Poset, pairs) -> None:
-    """Fill ``poset.covers_matrix`` with ``pairs``, the lower and the upper
-    indices of pairs (a (2, k) array or two arrays) that its builder knows
-    to be exactly the transitive reduction, so that no matmul runs."""
-    covers = np.zeros((poset.n, poset.n), dtype=bool)
-    covers[tuple(pairs)] = True
+def _set_covers(poset: Poset, covers: np.ndarray) -> None:
+    """Fill ``poset.covers_matrix`` with ``covers``, a C-ordered boolean
+    matrix that the poset's builder knows to be exactly the transitive
+    reduction, so that no matmul runs."""
     covers.flags.writeable = False
     poset.__dict__["covers_matrix"] = covers  # the cached_property's slot
+
+
+def _known_covers(poset: Poset) -> Optional[np.ndarray]:
+    """``poset.covers_matrix`` when it is already set or computed, else
+    None, so that a derived poset can take it over without paying for it."""
+    return poset.__dict__.get("covers_matrix")
 
 
 def _closure(n, pairs, names) -> tuple[np.ndarray, np.ndarray]:
@@ -397,8 +420,20 @@ def order_ideals(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> list[frozenset[str]]
 
 
 def dual_poset(p: Poset) -> Poset:
-    """Same elements with the order reversed; an involution."""
-    return Poset(p.names, p.leq.T)
+    """Same elements with the order reversed; an involution.
+
+    Covers and the irreducible-row view that ``p`` has already found pass
+    over, reversed and with the sides swapped: the dual's down-set rows are
+    ``p``'s up-set rows, so (S′, ψ, S, φ) is exactly what the dual would
+    compute.  What ``p`` has not found, the dual finds for itself."""
+    q = Poset(p.names, p.leq.T)
+    covers = _known_covers(p)
+    if covers is not None:
+        _set_covers(q, np.ascontiguousarray(covers.T))
+    if "irreducible_rows" in p.__dict__:
+        below, phi, above, psi = p.irreducible_rows
+        q.__dict__["irreducible_rows"] = (above, psi, below, phi)
+    return q
 
 
 # -- isomorphism -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 from unittest import mock
@@ -415,6 +416,58 @@ def reference_distributive_identity_violation(l, dualized=False):
             a, c = (int(v) for v in np.argwhere(bad)[0])
             return l.names[a], l.names[b], l.names[c]
     return None
+
+
+def reference_covers(p):
+    """The transitive reduction of ``p``'s order by the float32 matmul
+    that ``Poset.covers_matrix`` runs on a bare order: i ⋖ j when i < j
+    and no k has i < k < j."""
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    ltf = lt.astype(np.float32)
+    return lt & ~((ltf @ ltf) > 0.5)
+
+
+def matmul_forbidden():
+    """Make ``Poset.covers_matrix`` raise wherever its matmul would run.
+
+    The patch is a non-data descriptor, so covers a builder set with
+    ``_set_covers`` (in the instance dict) still win.  Posets cut out by
+    ``Poset.restrict`` (the join-irreducible posets) keep the matmul by
+    design; they get the reference's covers up front."""
+
+    def forbidden(poset):
+        raise AssertionError(f"the matmul ran on a {poset.n}-element poset")
+
+    covers = functools.cached_property(forbidden)
+    covers.__set_name__(lk.Poset, "covers_matrix")
+    restrict = lk.Poset.restrict
+
+    def restrict_with_covers(self, indices):
+        sub = restrict(self, indices)
+        poset_module._set_covers(sub, reference_covers(sub))
+        return sub
+
+    return mock.patch.multiple(lk.Poset, covers_matrix=covers, restrict=restrict_with_covers)
+
+
+def assert_covers_read_off(build):
+    """The lattice ``build()`` returns, its dual, one of its intervals and
+    the lattice with both bounds adjoined, all built while the matmul
+    raises, carry covers equal to the reference's."""
+    with matmul_forbidden():
+        l = build()
+        n, names = l.n, l.names
+        a = names[n // 3]
+        lattices = [
+            l,
+            l.dual,
+            lk.interval_sublattice(l, a, l.join_of(a, names[2 * n // 3])),
+            lk.add_bounds(l, bottom="lo", top="hi"),
+        ]
+        for x in lattices:
+            assert "covers_matrix" in vars(x.poset)
+            assert np.array_equal(x.poset.covers_matrix, reference_covers(x.poset))
+    return l
 
 
 def reordered_lattice(l, order):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from latticekit.poset import order_ideal_masks
 
 from conftest import (
     BLOCK_CELLS,
+    assert_covers_read_off,
     distributive_fixture_lattices,
     reference_ideal_labels,
     reference_order_ideal_masks,
@@ -125,28 +127,25 @@ def long_or_short_posets(draw):
     return lk.build_poset(names, pairs, warn_redundant=False)
 
 
-def matmul_covers(poset):
-    """The cover matrix of ``poset``'s order as a poset built from the
-    order alone finds it: by the matmul."""
-    return lk.Poset(poset.names, poset.leq).covers_matrix
-
-
 class TestIdealsCoversFromUnions:
-    """J(P)'s covers, read off its union table at build time, equal the
-    matmul's, and no path that builds a J(P) runs the matmul on it."""
+    """J(P)'s covers, read off its union table at build time, and those of
+    its dual, an interval and its bounds, equal the matmul's, and no path
+    that builds a J(P) runs the matmul on it."""
 
     @settings(max_examples=60, deadline=None)
     @given(long_or_short_posets())
     @example(lk.build_poset([], []))
     def test_random_posets(self, p):
-        poset = lk.ideals_lattice(p).lattice.poset
-        assert "covers_matrix" in vars(poset)
-        assert np.array_equal(poset.covers_matrix, matmul_covers(poset))
+        assert_covers_read_off(lambda: lk.ideals_lattice(p).lattice)
 
     @pytest.mark.parametrize("k", [1, 2, 10, 64, 65, 200])
     def test_chains(self, k):
-        poset = lk.ideals_lattice(catalog.chain_poset(k)).lattice.poset
-        assert np.array_equal(poset.covers_matrix, matmul_covers(poset))
+        p = catalog.chain_poset(k)
+        assert_covers_read_off(lambda: lk.ideals_lattice(p).lattice)
+        ll = lk.ideals_lattice(p)
+        masks = reference_order_ideal_masks(p, lk.poset.DEFAULT_IDEAL_CAP)
+        expected = reference_ideal_labels(p, masks, ll.names)
+        assert list(ll.edge_labels.items()) == list(expected.items())
 
     def test_no_matmul_on_ideals_reconstruct_or_round_trip(
         self, monkeypatch, tmp_path, case_n1_spec
@@ -166,8 +165,8 @@ class TestIdealsCoversFromUnions:
         assert cli.main(["birkhoff", "ideals", str(path), "--out", str(out)]) == 0
         assert lk.reconstruct(case_n1_spec).n == 21
         assert lk.birkhoff_roundtrip(catalog.boolean_lattice(3)).ok
-        # only irreducible posets and B3, built from its subsets, run it
-        assert 64 not in sizes and 21 not in sizes and sizes.count(8) == 1
+        # only irreducible posets run it; B3 reads its covers off its unions
+        assert 64 not in sizes and 21 not in sizes and 8 not in sizes
 
 
 class TestPackedRowsMatchIntMasks:
@@ -226,6 +225,20 @@ class TestPackedRowsMatchIntMasks:
     def test_stanley_row_blocks(self, cells):
         with table_blocks(cells):
             assert_stanley_matches_reference(catalog.boolean_poset(3))
+
+
+def test_snapshot_order_scratch_on_the_11_antichain():
+    """Stanley's snapshot order is built in row blocks: on B_11's 2048
+    nodes it needs at most twice its own 2048² booleans."""
+    nodes = order_ideal_masks(catalog.antichain_poset(11))
+    tracemalloc.start()
+    try:
+        leq = birkhoff._inclusion_order(nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert leq.sum() == 3**11  # pairs u ⊆ v of subsets of 11 elements
+    assert peak <= 2 * len(nodes) ** 2
 
 
 def assert_stanley_matches_reference(p):

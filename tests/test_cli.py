@@ -584,7 +584,7 @@ class TestFreedist:
         assert code == 2 and "offset 4" in err
 
     def test_generate_limit(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(fd, "set_family_tables", lambda m: pytest.fail("tables built"))
+        monkeypatch.setattr(fd, "set_family_lattice", lambda *a: pytest.fail("tables built"))
         out_path = tmp_path / "free3.json"
         code, out, err = run(
             capsys, "--limit", "19", "freedist", "generate", "--n", "3", "--extended",
@@ -741,7 +741,7 @@ class TestWriters:
         path = tmp_path / "out.json"
         lkio.write_poset(path, odd_lattice(0), {})
         assert path.read_text(encoding="utf-8") == '{\n  "elements": [],\n  "covers": []\n}\n'
-        assert lkio._dumps({"elements": [], "covers": [], "labels": {}}) == (
+        assert lkio._dumps([], [], {}) == (
             json.dumps({"elements": [], "covers": [], "labels": {}}, indent=2) + "\n"
         )
 

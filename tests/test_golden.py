@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
+import latticekit as lk
 from latticekit.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, matmul_forbidden
 
 LATTICES = ("divisor12", "m3", "n5")
 PROPERTIES = ("modular", "distributive", "semimodular", "graded", "multfree", "jordanholder")
@@ -35,6 +36,8 @@ SWEEP = [
         ("reconstruct", f"{c}.json", "--with-bounds", "--out", "out.json", "--dot", "out.dot")
         for c in ("case_n1", "case_n2")
     ),
+    ("freedist", "generate", "--n", "3", "--out", "out.json"),
+    ("freedist", "generate", "--n", "3", "--extended", "--out", "out.json"),
     ("freedist", "generate", "--n", "4", "--out", "out.json"),
     ("freedist", "generate", "--n", "4", "--extended", "--out", "out.json"),
 ]
@@ -73,6 +76,8 @@ DIGESTS = {
     "render n5.json --out out.dot": "14a1ba382088126663076b66922b024b894005dd8a29b48cb0637fb1fe0375a8",
     "reconstruct case_n1.json --with-bounds --out out.json --dot out.dot": "b991cc9cea97867247d292dfbc8f9a5fd2165a95cbe639fe56a276c54e8f14b8",
     "reconstruct case_n2.json --with-bounds --out out.json --dot out.dot": "53f1b66cc77e98d520a1c117387f6349089c82491483be163238126b53305d62",
+    "freedist generate --n 3 --out out.json": "17d42554ce001966c3567533688f40f22fac391acf04be3b2538e4de550e4e26",
+    "freedist generate --n 3 --extended --out out.json": "f578f99d1249c857a1ef40ed1a649f52826dba4792ed553314d266e52804886d",
     "freedist generate --n 4 --out out.json": "47f8e171f4612b78fa1aa94610246029731d86c20334ff28e88cc01b02f27804",
     "freedist generate --n 4 --extended --out out.json": "eccdac69a20e30fb67ce77de9b478c172218322ba00c4d672f8b20caaf013fb8",
 }
@@ -103,6 +108,37 @@ def sweep_digest(argv, workdir: Path) -> str:
 @pytest.mark.parametrize("argv", SWEEP, ids=" ".join)
 def test_output_is_byte_identical(argv, tmp_path):
     assert sweep_digest(argv, tmp_path) == DIGESTS[" ".join(argv)]
+
+
+# lattices of sets (FD(n), J(P)) and what is derived from them find their
+# covers without the matmul; these commands print and write the same with it
+# made to raise
+WITHOUT_MATMUL = [
+    argv for argv in SWEEP if argv[0] in ("freedist", "reconstruct") or argv[:2] == ("birkhoff", "ideals")
+]
+
+
+@pytest.mark.parametrize("argv", WITHOUT_MATMUL, ids=" ".join)
+def test_same_output_without_the_matmul(argv, tmp_path):
+    with matmul_forbidden():
+        assert sweep_digest(argv, tmp_path) == DIGESTS[" ".join(argv)]
+
+
+def test_factors_and_self_duality_without_the_matmul(tmp_path):
+    path = tmp_path / "n1.json"
+    with matmul_forbidden():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["reconstruct", str(FIXTURES / "case_n1.json"), "--with-bounds", "--out", str(path)])
+        for element, factors in (("M", "a+b+c+d+e+f+g+h"), ("B", "c+d+g+h")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["factors", str(path), element]) == 0
+            assert out.getvalue() == factors + "\n"
+        iso = lk.check_self_dual(3)
+    # sha256 of the isomorphism's items, in order, as recorded before the change
+    assert hashlib.sha256(repr(list(iso.items())).encode()).hexdigest() == (
+        "9a549fc6c9299e7ce3dfdfbaf9ac851c4cb5ead23287d0c255d426c0a14135cd"
+    )
 
 
 if __name__ == "__main__":

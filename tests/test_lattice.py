@@ -20,6 +20,7 @@ from conftest import (
     BLOCK_CELLS,
     CATALOG,
     WIDE,
+    assert_covers_read_off,
     reference_bounds,
     reference_degree,
     reference_distributive_identity_violation,
@@ -561,6 +562,52 @@ class TestSetFamilyTables:
         members = np.arange(TABLE_LIMIT + 1, dtype=np.uint64)[:, None]
         with pytest.raises(lk.SizeLimitExceeded, match="32768"):
             set_family_tables(members)
+
+
+class TestSetFamilyCovers:
+    """Lattices of sets read their covers off their join tables, and their
+    duals, intervals and bounds take them over: all equal the matmul's, and
+    none runs it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_free_lattices(self, n, extended):
+        assert_covers_read_off(lambda: fd.generate_lattice(n, extended=extended))
+
+    def test_free1_restricted_has_no_irreducibles(self):
+        l = assert_covers_read_off(lambda: fd.generate_lattice(1))
+        assert l.n == 1 and lk.join_irreducibles(l).names == ()
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_boolean_lattices(self, k):
+        assert_covers_read_off(lambda: catalog.boolean_lattice(k))
+
+
+def assert_dual_view_handed_over(l):
+    """``l.dual`` holds ``l``'s irreducible-row view with the sides swapped,
+    the very arrays, and they are byte-identical to a fresh view of the
+    reversed order."""
+    view = l.poset.irreducible_rows
+    dual = l.dual.poset.irreducible_rows
+    assert all(a is b for a, b in zip(dual, view[2:] + view[:2]))
+    for got, fresh in zip(dual, lk.Poset(l.names, l.leq.T).irreducible_rows):
+        assert (got.dtype, got.shape, got.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+
+
+class TestDualView:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        assert_dual_view_handed_over(CATALOG[name]())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_free_lattices(self, n, extended):
+        assert_dual_view_handed_over(fd.generate_lattice(n, extended=extended))
+
+    @settings(max_examples=40, deadline=None)
+    @given(searched_lattices())
+    def test_searched(self, l):
+        assert_dual_view_handed_over(l)
 
 
 def reference_pair_lookup(rows, op, family):
