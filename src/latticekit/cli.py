@@ -2,9 +2,9 @@
 
 Verbs: check, birkhoff, stanley, freedist, dedekind, reconstruct, render,
 factors.  JSON in, JSON/DOT out.  Exit codes: 0 success (or property
-true), 1 property false (check verbs), 2 input error, 3 size limit,
-4 invariant violated (equivalent criteria disagreed: a latticekit defect,
-not an input error).
+true), 1 property false (check verbs), 2 input error, 3 size limit (or
+out of memory), 4 invariant violated (equivalent criteria disagreed: a
+latticekit defect, not an input error).
 ``--limit N`` (else LATTICE_LIMIT, else 10 000 000), a positive integer,
 caps the elements of every lattice a verb reads or builds, and every poset
 file holds at most the 32 767 elements of int16 tables; larger inputs exit
@@ -53,6 +53,10 @@ def main(argv=None) -> int:
             return args.func(args, limit)
     except SizeLimitExceeded as exc:
         print(f"size limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        verb = args.verb + (f" {args.mode}" if "mode" in args else "")
+        print(f"size limit: out of memory ({verb})", file=sys.stderr)
         return 3
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

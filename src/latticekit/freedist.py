@@ -337,36 +337,29 @@ def generate_lattice(n: int, extended: bool = False, *, limit: Optional[int] = N
 
 def dedekind_count(n: int) -> int:
     """Number of elements of the extended free distributive lattice on n
-    generators (counted, never looked up).
+    generators, D(n) = |M(n)| for M(n) the monotone Boolean functions on
+    n variables (counted, never looked up).
 
-    Antichains of nonempty clause masks are counted by a DFS in ascending
-    mask order whose identical suffix subproblems are shared; adding the
-    one antichain holding the empty clause gives the total.  For n <= 4
-    the result is cross-checked against the brute-force monotone-function
-    oracle.
+    Counted through M(k), k = max(n - 2, 0), enumerated as truth tables
+    ordered pointwise.  Splitting f in M(k + 1) by its last variable gives
+    f0 <= f1 in M(k), and splitting f in M(k + 2) by its last two gives
+    f00 <= f01 <= f11 and f00 <= f10 <= f11; conversely any such tuple is
+    monotone.  Given f00 = x <= f11 = y, f01 and f10 range independently
+    over the interval [x, y], so
+
+        D(k + 1) = #{(x, y) : x <= y},
+        D(k + 2) = sum over x <= y of |[x, y]|^2,
+
+    read off the order of M(k) with D(k + 1)·D(k) boolean operations
+    (Wiedemann's split for D(8)).  For n <= 4 the result is cross-checked
+    against the brute-force monotone-function oracle.
     """
     if n < 0:
         raise InvalidArgument(f"n must be nonnegative (got n={n})")
     if n > COUNT_CAP:
         raise SizeLimitExceeded(f"dedekind_count capped at n={COUNT_CAP}")
-    if n == 0:
-        return 2
-    incomp = _incomparability_masks(n)
-    memo: dict[int, int] = {}
-
-    def count(avail: int) -> int:
-        if avail == 0:
-            return 1
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        low = avail & -avail
-        rest = avail ^ low
-        r = count(rest) + count(rest & incomp[low.bit_length() - 1])
-        memo[avail] = r
-        return r
-
-    total = count((1 << ((1 << n) - 1)) - 1) + 1
+    k = max(n - 2, 0)
+    total = _interval_counts(k)[n - k]
     if n <= 4:
         oracle = monotone_function_count(n)
         if total != oracle:
@@ -374,23 +367,39 @@ def dedekind_count(n: int) -> int:
     return total
 
 
+def _interval_counts(k: int) -> tuple[int, int, int]:
+    """(D(k), D(k + 1), D(k + 2)) from the pointwise order of M(k): its
+    size, its comparable pairs, and the squared sizes of its intervals."""
+    elements = enumerate_elements(k, extended=True)
+    tt = np.array([e.truth_table() for e in elements], dtype=np.uint64)
+    leq = (tt[:, None] & ~tt[None, :]) == 0
+    geq = np.ascontiguousarray(leq.T)
+    squares = 0
+    for row in leq:
+        # |[x, y]| for each y >= x (the others have empty intervals): the z
+        # with x <= z and z <= y
+        sizes = np.add.reduce(row & geq[row], axis=1, dtype=np.int64)
+        squares += int((sizes * sizes).sum())
+    return len(tt), int(np.count_nonzero(leq)), squares
+
+
 def monotone_function_count(n: int) -> int:
     """Brute force: enumerate all 2^(2^n) truth tables, keep the monotone
-    ones.  Independent of the antichain enumerator; n <= 4 only."""
+    ones.  Independent of the antichain enumerator; n <= 4 only.
+
+    f is monotone when, for each variable d, f(a) <= f(a + 2^d) at every
+    assignment a without d: shifting the bits of f at those assignments
+    up by 2^d must land only on bits of f.
+    """
     if n > 4:
         raise SizeLimitExceeded("brute-force oracle capped at n=4")
     size = 1 << n
     funcs = np.arange(1 << size, dtype=np.uint32)
     keep = np.ones(funcs.shape, dtype=bool)
     for d in range(n):
-        for a in range(size):
-            if a & (1 << d):
-                continue
-            b = a | (1 << d)
-            fa = (funcs >> np.uint32(a)) & 1
-            fb = (funcs >> np.uint32(b)) & 1
-            keep &= ~((fa == 1) & (fb == 0))
-    return int(keep.sum())
+        low = sum(1 << a for a in range(size) if not a & (1 << d))
+        keep &= ((funcs & np.uint32(low)) << np.uint32(1 << d)) & ~funcs == 0
+    return int(np.count_nonzero(keep))
 
 
 # -- structural checks ---------------------------------------------------------------

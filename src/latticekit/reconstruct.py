@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -86,52 +87,56 @@ def load_spec(source: Union[str, Path, dict]) -> ReconstructionSpec:
     else:
         data = source
     kind = type(data).__name__
-    _require(isinstance(data, dict), f"spec file must hold a JSON object, not {kind}")
+    _require(isinstance(data, dict), "spec file must hold a JSON object, not {}", kind)
     for key in ("factors", "irreducibles"):
-        _require(isinstance(data.get(key), (list, tuple)), f"spec has no {key!r} list")
+        _require(isinstance(data.get(key), (list, tuple)), "spec has no {!r} list", key)
     irreducibles = []
     for k, d in enumerate(data["irreducibles"]):
-        where = f"'irreducibles' item {k}"
-        _require(isinstance(d, dict), f"{where} must be an object, not {d!r}")
+        _require(isinstance(d, dict), "'irreducibles' item {} must be an object, not {!r}", k, d)
         for key in ("name", "top", "factors"):
-            _require(key in d, f"{where} has no {key!r}")
-        name, top = (_name(d[key], f"{where} {key!r}") for key in ("name", "top"))
-        factors = _names(d["factors"], f"{where} 'factors'")
+            _require(key in d, "'irreducibles' item {} has no {!r}", k, key)
+        name = _name(d["name"], "'irreducibles' item {} 'name'", k)
+        top = _name(d["top"], "'irreducibles' item {} 'top'", k)
+        factors = _names(d["factors"], "'irreducibles' item {} 'factors'", k)
         irreducibles.append(IrreducibleDecl(name, top, factors))
     bounds = data.get("bounds")
     if bounds is not None:
-        _require(isinstance(bounds, dict), f"'bounds' must be an object, not {bounds!r}")
+        _require(isinstance(bounds, dict), "'bounds' must be an object, not {!r}", bounds)
         unknown = sorted(set(bounds) - set(Bounds.__dataclass_fields__))
-        _require(not unknown, f"'bounds' has unknown keys {unknown}")
-        bounds = Bounds(**{k: _name(v, f"'bounds' {k!r}") for k, v in bounds.items()})
+        _require(not unknown, "'bounds' has unknown keys {}", unknown)
+        bounds = Bounds(**{k: _name(v, "'bounds' {!r}", k) for k, v in bounds.items()})
     order, edges = data.get("order", []), data.get("edges", [])
     for key, items in (("order", order), ("edges", edges)):
-        _require(isinstance(items, (list, tuple)), f"{key!r} must be a list, not {items!r}")
+        _require(isinstance(items, (list, tuple)), "{!r} must be a list, not {!r}", key, items)
     return ReconstructionSpec(
         factors=_names(data["factors"], "'factors'"),
         irreducibles=tuple(irreducibles),
-        order=tuple(_names(x, f"'order' item {k}", 2) for k, x in enumerate(order)),
-        edges=tuple(_names(x, f"'edges' item {k}", 3) for k, x in enumerate(edges)),
+        order=tuple(_names(x, "'order' item {}", k, length=2) for k, x in enumerate(order)),
+        edges=tuple(_names(x, "'edges' item {}", k, length=3) for k, x in enumerate(edges)),
         bounds=bounds,
     )
 
 
-def _require(ok: bool, message: str) -> None:
+def _require(ok: bool, message: str, *args) -> None:
+    """Raise InvalidSpec(message.format(*args)) unless ``ok``.  The text is
+    built only on failure, so a valid spec pays no repr of its parts."""
     if not ok:
-        raise InvalidSpec(message)
+        raise InvalidSpec(message.format(*args))
 
 
-def _name(value, what: str) -> str:
-    _require(isinstance(value, str), f"{what} must be a string, not {value!r}")
+def _name(value, what: str, *args) -> str:
+    """``value``, a string; ``what.format(*args)`` names it on failure."""
+    _require(isinstance(value, str), what + " must be a string, not {!r}", *args, value)
     return value
 
 
-def _names(value, what: str, length: Optional[int] = None) -> tuple[str, ...]:
-    """``value``, a list of strings (of ``length`` items when given), as a tuple."""
-    ok = isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
-    size = "" if length is None else f"{length} "
+def _names(value, what: str, *args, length: Optional[int] = None) -> tuple[str, ...]:
+    """``value``, a list of strings (of ``length`` items when given), as a
+    tuple; ``what.format(*args)`` names it on failure."""
+    ok = isinstance(value, (list, tuple)) and all(map(isinstance, value, repeat(str)))
     ok = ok and length in (None, len(value))
-    _require(ok, f"{what} must be a list of {size}strings, not {value!r}")
+    size = "" if length is None else f"{length} "
+    _require(ok, what + " must be a list of {}strings, not {!r}", *args, size, value)
     return tuple(value)
 
 

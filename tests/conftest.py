@@ -603,3 +603,44 @@ def distributive_fixture_lattices(case_n1, case_n2):
     out["case_n2"] = case_n2.lattice
     out["case_n1"] = case_n1.lattice
     return out
+
+
+def reference_dedekind_count(n):
+    """D(n) by counting the antichains of nonempty clause masks: a DFS in
+    ascending mask order whose identical suffix subproblems are shared,
+    plus the one antichain holding the empty clause."""
+    if n == 0:
+        return 2
+    incomp = fd._incomparability_masks(n)
+    memo = {}
+
+    def count(avail):
+        if avail == 0:
+            return 1
+        cached = memo.get(avail)
+        if cached is not None:
+            return cached
+        low = avail & -avail
+        rest = avail ^ low
+        r = count(rest) + count(rest & incomp[low.bit_length() - 1])
+        memo[avail] = r
+        return r
+
+    return count((1 << ((1 << n) - 1)) - 1) + 1
+
+
+def reference_monotone_function_count(n):
+    """Brute-force D(n) that tests every pair of assignments a < a + 2^d
+    on its own: n·2^(n-1) passes over all 2^(2^n) truth tables."""
+    size = 1 << n
+    funcs = np.arange(1 << size, dtype=np.uint32)
+    keep = np.ones(funcs.shape, dtype=bool)
+    for d in range(n):
+        for a in range(size):
+            if a & (1 << d):
+                continue
+            b = a | (1 << d)
+            fa = (funcs >> np.uint32(a)) & 1
+            fb = (funcs >> np.uint32(b)) & 1
+            keep &= ~((fa == 1) & (fb == 0))
+    return int(keep.sum())

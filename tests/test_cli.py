@@ -220,6 +220,22 @@ class TestSizeGate:
         assert (code, out) == (2, "")
         assert err.startswith("error: order conflict on ('m1', 'm2')")
 
+    @pytest.mark.parametrize(
+        "argv, verb",
+        [
+            (("check", FIXTURES / "m3.json", "--property", "modular"), "check"),
+            (("birkhoff", "roundtrip", FIXTURES / "m3.json"), "birkhoff roundtrip"),
+        ],
+    )
+    def test_out_of_memory(self, capsys, monkeypatch, argv, verb):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.io, "as_lattice", exhausted)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"size limit: out of memory ({verb})\n"
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_limit_must_be_positive(self, capsys, value):
         code, out, err = run(capsys, "--limit", value, "dedekind", "--n", "3")
@@ -392,6 +408,34 @@ class TestMalformedSpecFiles:
         good.write_text(json.dumps({**self.GOOD, "bounds": {"top_name": "T"}}))
         code, out, _ = run(capsys, "reconstruct", good, "--with-bounds")
         assert (code, out) == (0, "5 elements\n")  # the chain 0 < A < B, plus bounds
+
+    def test_valid_spec_formats_no_message(self):
+        # a message is built only when its check fails: no part is repr'd
+        class Unprintable(list):
+            def __repr__(self):
+                raise AssertionError("repr of a valid part")
+
+        class UnprintableDict(dict):
+            __repr__ = Unprintable.__repr__
+
+        def wrap(x):
+            if isinstance(x, dict):
+                return UnprintableDict({k: wrap(v) for k, v in x.items()})
+            if isinstance(x, list):
+                return Unprintable(wrap(v) for v in x)
+            return x
+
+        spec = lk.load_spec(wrap({**self.GOOD, "edges": [["0", "A", "a"]], "bounds": {"top_name": "T"}}))
+        assert spec == lk.load_spec({**self.GOOD, "edges": [["0", "A", "a"]], "bounds": {"top_name": "T"}})
+        assert spec.order == (("A", "B"),) and spec.bounds.top_name == "T"
+
+    def test_message_text(self):
+        with pytest.raises(lk.InvalidSpec) as err:
+            lk.load_spec({**self.GOOD, "order": [["A", "B"], ["A", 2]]})
+        assert str(err.value) == "'order' item 1 must be a list of 2 strings, not ['A', 2]"
+        with pytest.raises(lk.InvalidSpec) as err:
+            lk.load_spec({**self.GOOD, "irreducibles": [{"name": "A", "top": ["{}"], "factors": []}]})
+        assert str(err.value) == "'irreducibles' item 0 'top' must be a string, not ['{}']"
 
 
 class TestBadArguments:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 import latticekit as lk
 import latticekit.freedist as fd
 
+from conftest import reference_dedekind_count, reference_monotone_function_count
+
 
 def tt_oracle(elem):
     """Independent truth table: evaluate the join-of-meets as Boolean logic
@@ -155,6 +157,34 @@ class TestDedekind:
             fd.dedekind_count(-1)
         with pytest.raises(ValueError):  # callers catching ValueError keep working
             fd.dedekind_count(-1)
+
+    def test_matches_antichain_dfs(self):
+        for n in range(7):
+            assert fd.dedekind_count(n) == reference_dedekind_count(n)
+
+    def test_bruteforce_oracle_matches_pair_loop(self):
+        for n in range(5):
+            assert fd.monotone_function_count(n) == reference_monotone_function_count(n)
+
+    def test_comparable_pairs_count_the_next_rank(self):
+        # f in M(n) splits into f0 <= f1 in M(n - 1)
+        for n in range(1, 6):
+            elements = fd.enumerate_elements(n - 1, extended=True)
+            pairs = sum(fd.fd_leq(x, y) for x in elements for y in elements)
+            assert pairs == fd._interval_counts(n - 1)[1] == reference_dedekind_count(n)
+
+    def test_counts_from_the_order_two_ranks_down(self, monkeypatch):
+        seen = []
+        enumerate_elements = fd.enumerate_elements
+
+        def spy(n, extended=False):
+            seen.append((n, extended))
+            assert n <= 4, f"M({n}) enumerated"
+            return enumerate_elements(n, extended)
+
+        monkeypatch.setattr(fd, "enumerate_elements", spy)
+        assert fd.dedekind_count(6) == 7828354
+        assert seen == [(4, True)]
 
     def test_oracle_disagreement_raises(self, monkeypatch):
         # an exception, not an assert: this also holds under python -O
