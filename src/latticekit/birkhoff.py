@@ -25,6 +25,7 @@ from .poset import (
     Poset,
     _canonical_rows,
     _pack_rows,
+    _row_blocks,
     _subset_blocks,
     _unpack_rows,
     is_isomorphic,
@@ -77,19 +78,20 @@ def ideals_lattice(
     labeled x.  Default element names are brace sets like ``{a,b}``.
 
     J(P) is a ring of sets, so :func:`set_family_lattice` builds it with
-    its covers read off the union table.  Each cover of I is I ∪ down(x) =
-    I ∪ {x} for one x, and down(x) is the join-irreducible it goes up by;
-    that x labels it.  One gather of I ∪ down(x) for every I and x finds
-    them, in O(n·|P|), lower ascending, then x ascending.
+    its covers read off the union table.  Each cover I ⋖ I' adds one
+    element x, the one of I' outside I, which labels it; the covers come lower
+    ascending, then x ascending, as the canonical order puts I ∪ {x}
+    before I ∪ {y} for x < y.
     """
     namer = namer or brace_name
     rows = order_ideal_masks(p, cap)
     inside = _unpack_rows(rows, p.n)
     names = [namer(tuple(compress(p.names, row))) for row in inside.tolist()]
     lattice = set_family_lattice(names, rows)
-    grown = lattice.join[:, inside.argmax(axis=0)]  # the first row holding x is down(x)
-    lower, added = np.nonzero(lattice.poset.covers_matrix[np.arange(len(rows))[:, None], grown])
-    upper = grown[lower, added]
+    lower, upper = lattice.poset.cover_arrays
+    added = np.empty(len(lower), dtype=np.intp)
+    for part in _row_blocks(len(lower), p.n):
+        added[part] = (inside[upper[part]] & ~inside[lower[part]]).argmax(axis=1)
     labels: dict[Edge, str] = {
         (names[i], names[j]): p.names[x]
         for i, j, x in zip(lower.tolist(), upper.tolist(), added.tolist())
@@ -308,7 +310,7 @@ def _snapshot(p: Poset, nodes: np.ndarray, description: str) -> TraceStep:
     bits = _unpack_rows(nodes, p.n)
     names = [_node_name(p, row) for row in bits.tolist()]
     snap = Poset(names, _inclusion_order(nodes))
-    lower, upper = np.array(snap.cover_pairs, dtype=np.intp).reshape(-1, 2).T
+    lower, upper = snap.cover_arrays
     added = bits[upper] & ~bits[lower]
     one = np.flatnonzero(added.sum(axis=1) == 1)
     labels: dict[Edge, str] = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -75,12 +75,23 @@ class MonotoneElement:
         return self.clauses == (0,)
 
     def truth_table(self) -> int:
-        """Bit A is set iff the element is true under assignment mask A."""
+        """Bit A is set iff the element is true under assignment mask A:
+        the OR of each clause's up-set of assignments."""
         tt = 0
-        for a in range(1 << self.n):
-            if any(c & ~a == 0 for c in self.clauses):
-                tt |= 1 << a
+        for c in self.clauses:
+            tt |= _clause_table(self.n, c)
         return tt
+
+
+@lru_cache(maxsize=None)
+def _clause_table(n: int, clause: int) -> int:
+    """The assignments A ⊇ ``clause`` of n variables as bits of an int,
+    doubled one free variable at a time: bit A moves to A | 2^d."""
+    tt = 1 << clause
+    for d in range(n):
+        if not clause >> d & 1:
+            tt |= tt << (1 << d)
+    return tt
 
 
 def _prune(n: int, masks: Iterable[int]) -> MonotoneElement:

@@ -13,7 +13,13 @@ every key; all others, multi-word rows and wide keys such as FD(5)'s
 intersections of principal down-sets (and up-sets), cut to the
 irreducibles when that keeps the order, ``set_family_tables`` the
 intersections and unions of a closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
-the unions of its nodes."""
+the unions of its nodes.
+
+Covers are :attr:`Poset.cover_arrays`, sorted (lower, upper) index pairs.
+A lattice of sets reads them off its join table (:func:`_ring_covers`),
+and its dual, intervals and adjoined bounds carry them over (swapped,
+filtered and renumbered, or with two pairs appended); grading, the
+lattice laws' cover check and the property certificates read the pairs."""
 
 from __future__ import annotations
 
@@ -254,6 +260,14 @@ class Lattice:
         b] ≤ meet[a, b], and every element below meet[a, b] is below both.
         Transitivity thus needs no check of its own (such as up(a') ⊆ up(a)
         on each cover a ⋖ a').
+
+        The covers are :attr:`Poset.cover_arrays`, read only once (1) holds.
+        On a bare order the rule that derives them (:func:`_order_covers`)
+        keeps a pair a ≤ b, a ≠ b, unless some c has a ≤ c ≤ b with neither
+        c ≤ a nor b ≤ c; the proof needs "unless some c ∉ {a, b} has
+        a ≤ c ≤ b".  The two differ only when two distinct elements lie
+        below each other, which (1) rules out: the below-counts would grow
+        both ways.
         """
         n = self.n
         leq, meet, join = self.leq, self.meet, self.join
@@ -264,7 +278,7 @@ class Lattice:
         for table in (meet, join):
             if not (table.diagonal() == index).all() or not (table == table.T).all():
                 return False
-        lower, upper = np.nonzero(self.poset.covers_matrix)
+        lower, upper = self.poset.cover_arrays
         flat = leq.ravel()
         for part in _row_blocks(len(lower), n):
             a, a2 = lower[part], upper[part]
@@ -489,13 +503,14 @@ def set_family_lattice(names: Sequence[str], members: np.ndarray) -> Lattice:
     built here.
 
     Its covers are read off the join table (:func:`_ring_covers`) and set
-    before the :class:`Lattice` is built, so no matmul runs.  Covers read
-    off tables that are not yet verified may not feed the constructor's
-    check, which reads them on rows wider than a word; but these tables
-    are known good before any check: :func:`set_family_tables` confirms
-    every intersection and union word by word, so the order is inclusion,
-    the meet ∩ and the join ∪, and a ring of sets is a distributive
-    lattice, the one case the cover rule needs.
+    before the :class:`Lattice` is built, so the bare-order rule never
+    runs.  Covers read off tables that are not yet verified may not feed
+    the constructor's check, which reads them on rows wider than a word;
+    but these tables are known good before any check:
+    :func:`set_family_tables` confirms every intersection and union word
+    by word, so the order is inclusion, the meet ∩ and the join ∪, and a
+    ring of sets is a distributive lattice, the one case the cover rule
+    needs.
     """
     leq, meet, join = set_family_tables(members)
     poset = Poset(names, leq)
@@ -504,8 +519,9 @@ def set_family_lattice(names: Sequence[str], members: np.ndarray) -> Lattice:
 
 
 def _ring_covers(poset: Poset, join: np.ndarray) -> np.ndarray:
-    """The cover matrix of a distributive lattice with order ``poset`` and
-    join table ``join``, found in O(n·|J|) over row blocks of J.
+    """The cover pairs (x, x ∨ j), a (2, k) array in no set order, of a
+    distributive lattice with order ``poset`` and join table ``join``,
+    found in O(n·|J|) over row blocks of J.
 
     By Birkhoff, x ↦ J(x), the join-irreducibles below x, maps the lattice
     onto the down-sets of J, and x ⋖ y exactly when J(y) is J(x) plus one
@@ -519,11 +535,11 @@ def _ring_covers(poset: Poset, join: np.ndarray) -> np.ndarray:
     leq = poset.leq
     irr = np.flatnonzero(poset.irreducible_rows[0])
     lower = _single_lower_covers(leq, leq.sum(axis=0, dtype=np.int32), irr)
-    covers = np.zeros(leq.shape, dtype=bool)
+    pairs = [np.empty((2, 0), dtype=np.intp)]
     for block in _row_blocks(len(irr), len(leq)):
         j, x = np.nonzero(leq[lower[block]] & ~leq[irr[block]])
-        covers[x, join[x, irr[block][j]]] = True
-    return covers
+        pairs.append(np.stack([x, join[x, irr[block][j]]]))
+    return np.concatenate(pairs, axis=1)
 
 
 def _single_lower_covers(leq: np.ndarray, size: np.ndarray, irr: np.ndarray) -> np.ndarray:
@@ -558,16 +574,17 @@ def grade(l: Lattice) -> GradeResult:
     """Degree function of a graded lattice, or a two-chain witness.
 
     Levels are placed upward from the bottom, one array pass over the cover
-    matrix per level.  The lattice is graded exactly when every element is
+    pairs per level.  The lattice is graded exactly when every element is
     placed and no element covers elements of two levels.
     """
-    covers = l.poset.covers_matrix
+    lower, upper = l.poset.cover_arrays
     rho = np.full(l.n, -1)
-    pending = covers.sum(axis=0)  # lower covers not yet placed
+    pending = np.bincount(upper, minlength=l.n)  # lower covers not yet placed
     level, k = np.array([l.bottom_index]), 0
     while level.size and not pending[level].any():
         rho[level] = k
-        placed = covers[level].sum(axis=0)  # lower covers each element has on this level
+        # lower covers each element has on this level
+        placed = np.bincount(upper[rho[lower] == k], minlength=l.n)
         pending -= placed
         level, k = placed.nonzero()[0], k + 1
     if level.size or (rho < 0).any():
@@ -577,13 +594,9 @@ def grade(l: Lattice) -> GradeResult:
 
 def _unequal_chain_witness(l: Lattice) -> tuple[list[str], list[str]]:
     """Two maximal chains of different length (shortest vs longest path),
-    ties going to the lowest-index lower cover.  Every lower-cover list
-    comes from one ``np.nonzero`` over the cover matrix."""
+    ties going to the lowest-index lower cover."""
     p = l.poset
-    upper, lower = np.nonzero(p.covers_matrix.T)  # by upper, lower ascending
-    lows: list[list[int]] = [[] for _ in range(l.n)]
-    for i, j in zip(upper.tolist(), lower.tolist()):
-        lows[i].append(j)
+    lows = [p.lower_covers(i) for i in range(l.n)]
     short = {l.bottom_index: [l.bottom_index]}
     long = {l.bottom_index: [l.bottom_index]}
     for i in p.topo_order:
@@ -700,7 +713,7 @@ def interval_sublattice(l: Lattice, a: str, b: str) -> Lattice:
     """The interval [a, b] as a lattice (tables restricted and reindexed).
 
     An interval is convex, so its covers are the lattice's covers between
-    its elements; they pass over when the lattice has them."""
+    its elements; they pass over, renumbered, when the lattice has them."""
     ia, ib = l.index(a), l.index(b)
     if not l.leq[ia, ib]:
         raise NotComparable(f"{a!r} is not below {b!r}")
@@ -710,7 +723,7 @@ def interval_sublattice(l: Lattice, a: str, b: str) -> Lattice:
     poset = l.poset.restrict(keep.tolist())
     covers = _known_covers(l.poset)
     if covers is not None:
-        _set_covers(poset, covers[np.ix_(keep, keep)])
+        _set_covers(poset, np.searchsorted(keep, covers[:, np.isin(covers, keep).all(axis=0)]))
     return Lattice(poset, meet, join)
 
 
@@ -767,8 +780,5 @@ def add_bounds(
     covers = _known_covers(l.poset)
     if covers is not None:
         ends = {"bottom": (n, l.bottom_index), "top": (l.top_index, m - 1)}
-        grown = np.zeros((m, m), dtype=bool)
-        grown[:n, :n] = covers
-        grown[tuple(zip(*(ends[kind] for kind, _ in extra)))] = True
-        _set_covers(poset, grown)
+        _set_covers(poset, np.column_stack([covers, *(ends[kind] for kind, _ in extra)]))
     return Lattice(poset, meet, join)

@@ -1,7 +1,8 @@
 """Finite posets built from cover relations.
 
 Element names are opaque strings; every algorithm works on dense integer
-indices, with the order relation held as a boolean matrix.  Sets of
+indices, with the order relation held as a boolean matrix and the covers
+as one (2, covers) int32 array of (lower, upper) index pairs.  Sets of
 elements (down-sets, up-sets, order ideals) are packed rows: an (m, words)
 uint64 array with element j at bit j % 64 of little-endian word j // 64,
 so closures, ideal enumeration and bound searches are word-parallel array
@@ -22,6 +23,7 @@ from .errors import CycleDetected, SizeLimitExceeded, UnknownElement
 DEFAULT_IDEAL_CAP = 10_000_000
 DEFAULT_ISO_CAP = 1000
 TABLE_BLOCK_CELLS = 2**16  # 64-bit words of working space per row block (512 KB)
+TRANSPOSE_TILE = 256  # side of the square tiles a transposed copy is made in
 
 
 class RedundantCoverWarning(UserWarning):
@@ -32,9 +34,12 @@ class Poset:
     """Immutable finite poset.
 
     ``leq`` is an n-by-n boolean matrix, ``leq[i, j]`` meaning
-    ``names[i] <= names[j]``.  The stored cover relation is always the
-    transitive reduction of ``leq``.  Instances are safe for concurrent
-    reads; nothing mutates them after construction.
+    ``names[i] <= names[j]``, and the only n² array a poset holds.  The
+    cover relation, the transitive reduction of ``leq``, is held as sorted
+    index pairs (:attr:`cover_arrays`, and :attr:`covers_by_upper` for
+    lower covers), set by the builder or derived on first use.  Instances
+    are safe for concurrent reads; nothing mutates them after
+    construction.
     """
 
     def __init__(self, names: Sequence[str], leq: np.ndarray):
@@ -44,7 +49,7 @@ class Poset:
         leq = np.asarray(leq, dtype=bool)
         if leq.shape != (len(names), len(names)):
             raise ValueError("leq matrix shape does not match element count")
-        leq = leq.copy()
+        leq = _c_ordered_copy(leq)
         leq.flags.writeable = False
         self.names = names
         self.leq = leq
@@ -69,7 +74,7 @@ class Poset:
         return name in self._index
 
     def __repr__(self):
-        return f"Poset({self.n} elements, {len(self.cover_pairs)} covers)"
+        return f"Poset({self.n} elements, {self.cover_arrays.shape[1]} covers)"
 
     def __eq__(self, other):
         return (
@@ -84,39 +89,42 @@ class Poset:
     # -- derived structure ----------------------------------------------
 
     @cached_property
-    def covers_matrix(self) -> np.ndarray:
-        """Boolean matrix of the transitive reduction (j covers i).
+    def cover_arrays(self) -> np.ndarray:
+        """The cover pairs as a read-only (2, covers) int32 array, row 0 the
+        lower ends and row 1 the upper ends, in row-major order: lower
+        ascending, then upper.  ``lower, upper = p.cover_arrays`` gives the
+        two index arrays.
 
-        Most builders set it when they build the poset (:func:`_set_covers`):
-        :func:`build_poset` from the pairs it was given, lattices of sets
-        (:func:`latticekit.lattice.set_family_lattice`: J(P), B_n, FD(n))
-        from their join table, and the dual, intervals and adjoined bounds
-        of a lattice from its own covers.  Covers read off tables are safe
-        to hand the constructor's check (which reads them on rows wider than
-        a word) only because those tables are already known to be right:
-        ``set_family_tables`` confirms every ∩ and ∪ word by word, and a
-        ring of sets is distributive.  A poset built from a bare order
-        (Stanley's snapshots, :meth:`restrict`, ``Poset(names, leq)`` handed
-        to ``as_lattice``) finds it here, on first use, by a float32
-        matmul, O(n³) time and two n² float32 temporaries.  Grading, chains,
-        isomorphism, interval classes, the modular and pentagon certificates
-        and the lattice check on rows wider than a word read it;
-        irreducibles come from :attr:`irreducible_rows`.
+        Every builder that knows its pairs sets them when it builds the
+        poset (:func:`_set_covers`): :func:`build_poset` from the pairs it
+        was given, lattices of sets (:func:`latticekit.lattice.set_family_lattice`:
+        J(P), B_n, FD(n)) from their join table, and the dual, intervals and
+        adjoined bounds of a lattice from its own pairs.  Covers read off
+        tables are safe to hand the constructor's check (which reads them on
+        rows wider than a word) only because those tables are already known
+        to be right: ``set_family_tables`` confirms every ∩ and ∪ word by
+        word, and a ring of sets is distributive.  A poset built from a bare
+        order (Stanley's snapshots, :meth:`restrict`, ``Poset(names, leq)``
+        handed to ``as_lattice``) finds them here, on first use, by the rule
+        :func:`build_poset` uses on its listed pairs, applied to all strict
+        pairs (:func:`_order_covers`).  Grading, chains, isomorphism,
+        interval classes, the modular and pentagon certificates and the
+        lattice check on rows wider than a word read them; irreducibles come
+        from :attr:`irreducible_rows`.
         """
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        # float32 counts are exact: each is at most n - 2, far below 2**24
-        ltf = lt.astype(np.float32)
-        between = (ltf @ ltf) > 0.5  # some k with i < k < j
-        out = lt & ~between
-        out.flags.writeable = False
-        return out
+        return _frozen_pairs(_order_covers(self.leq))
+
+    @cached_property
+    def covers_by_upper(self) -> np.ndarray:
+        """The cover pairs with their rows swapped, (upper, lower), ordered
+        by upper, then lower: the row-major pairs of the dual order.  A
+        stable sort by upper keeps each upper's lower ends ascending."""
+        return _frozen_pairs(self.cover_arrays[::-1, self.cover_arrays[1].argsort(kind="stable")])
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (lower, upper) as indices, in canonical order, which is
-        the row-major order of ``np.nonzero``."""
-        lo, up = np.nonzero(self.covers_matrix)
-        return tuple(zip(lo.tolist(), up.tolist()))
+        """Cover pairs (lower, upper) as indices, in row-major order."""
+        return tuple(zip(*self.cover_arrays.tolist()))
 
     @cached_property
     def irreducible_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -127,8 +135,7 @@ class Poset:
         lookup, the lattice check, the join-irreducibles and both
         distributivity certificates read these rows, and no covers."""
         below, above = (_one_cover_flags(self.leq, lower) for lower in (True, False))
-        # packbits is fast on C-ordered rows only, which a[:, flags] does not give
-        down, up = np.ascontiguousarray(self.leq[below].T), np.compress(above, self.leq, axis=1)
+        down, up = self.leq[below].T, np.compress(above, self.leq, axis=1)
         view = (below, _pack_rows(down), above, _pack_rows(up))
         for part in view:
             part.flags.writeable = False
@@ -137,11 +144,22 @@ class Poset:
     def cover_names(self) -> list[tuple[str, str]]:
         return [(self.names[a], self.names[b]) for a, b in self.cover_pairs]
 
+    @cached_property
+    def _cover_lists(self) -> list[list[list[int]]]:
+        """Each element's upper covers, then each element's lower covers,
+        ascending: the second row of :attr:`cover_arrays` and of
+        :attr:`covers_by_upper`, cut where the first row moves on."""
+        lists, cuts = [], np.arange(self.n + 1)
+        for first, second in (self.cover_arrays, self.covers_by_upper):
+            ends, second = np.searchsorted(first, cuts).tolist(), second.tolist()
+            lists.append([second[a:b] for a, b in zip(ends, ends[1:])])
+        return lists
+
     def lower_covers(self, i: int) -> list[int]:
-        return np.nonzero(self.covers_matrix[:, i])[0].tolist()
+        return list(self._cover_lists[1][i])
 
     def upper_covers(self, i: int) -> list[int]:
-        return np.nonzero(self.covers_matrix[i, :])[0].tolist()
+        return list(self._cover_lists[0][i])
 
     @cached_property
     def minimal_indices(self) -> tuple[int, ...]:
@@ -160,12 +178,35 @@ class Poset:
         return Poset([self.names[i] for i in idx], sub)
 
 
+def _frozen_pairs(pairs: np.ndarray) -> np.ndarray:
+    """The (2, k) index ``pairs`` as a read-only int32 array."""
+    pairs = pairs.astype(np.int32)
+    pairs.flags.writeable = False
+    return pairs
+
+
 # -- packed rows -------------------------------------------------------------
+
+
+def _c_ordered_copy(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the 2-d array ``a``.  A transposed view (an
+    F-ordered ``a``) is copied in ``TRANSPOSE_TILE``-square tiles: NumPy's
+    strided copy of it reads memory several times slower."""
+    if a.flags.c_contiguous or not a.flags.f_contiguous:
+        return np.array(a, order="C")
+    out, tile = np.empty(a.shape, dtype=a.dtype), TRANSPOSE_TILE
+    for i in range(0, a.shape[0], tile):
+        for j in range(0, a.shape[1], tile):
+            out[i : i + tile, j : j + tile] = a[i : i + tile, j : j + tile]
+    return out
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
     """Boolean (m, n) rows as an (m, words) uint64 array, words >= 1: bit j
-    of a row is bit j % 64 of its little-endian word j // 64."""
+    of a row is bit j % 64 of its little-endian word j // 64.  ``packbits``
+    is fast on C-ordered rows only, so other rows (``leq.T``, say) are
+    copied first."""
+    bits = bits if bits.flags.c_contiguous else _c_ordered_copy(bits)
     m, n = bits.shape
     raw = np.zeros((m, 8 * max(1, -(-n // 64))), dtype=np.uint8)
     raw[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
@@ -249,10 +290,9 @@ def build_poset(
     The order is the reflexive-transitive closure of the pairs; redundant
     input pairs (implied by transitivity) are dropped with a warning, in
     ascending index order.  The transitive reduction lies inside every set
-    of pairs that generates the order, so :attr:`Poset.covers_matrix` is
+    of pairs that generates the order, so :attr:`Poset.cover_arrays` are
     the listed pairs less the redundant ones (see
-    :func:`_redundant_pairs`), found in O(pairs·n/64) word operations and
-    never by a matmul.
+    :func:`_redundant_pairs`), found in O(pairs·n/64) word operations.
     Raises :class:`CycleDetected` for cyclic input and
     :class:`UnknownElement` for pair endpoints not in ``elements``.
     """
@@ -273,9 +313,7 @@ def build_poset(
     down, listed = _closure(n, pairs, names)
     poset = Poset(names, _unpack_rows(down, n).T)
     redundant = _redundant_pairs(_pack_rows(poset.leq), down, listed)
-    covers = np.zeros((n, n), dtype=bool)
-    covers[tuple(listed[:, ~redundant])] = True
-    _set_covers(poset, covers)
+    _set_covers(poset, listed[:, ~redundant])
 
     if warn_redundant:
         for a, b in sorted(listed[:, redundant].T.tolist()):
@@ -287,18 +325,33 @@ def build_poset(
     return poset
 
 
-def _set_covers(poset: Poset, covers: np.ndarray) -> None:
-    """Fill ``poset.covers_matrix`` with ``covers``, a C-ordered boolean
-    matrix that the poset's builder knows to be exactly the transitive
-    reduction, so that no matmul runs."""
-    covers.flags.writeable = False
-    poset.__dict__["covers_matrix"] = covers  # the cached_property's slot
+def _set_covers(poset: Poset, pairs: np.ndarray) -> None:
+    """Set ``poset.cover_arrays`` to the (lower, upper) index ``pairs``, a
+    (2, k) array in any column order, which the poset's builder knows to be
+    exactly the transitive reduction, so that the bare-order rule
+    (:func:`_order_covers`) never runs."""
+    poset.__dict__["cover_arrays"] = _frozen_pairs(pairs[:, np.lexsort(pairs[::-1])])
 
 
 def _known_covers(poset: Poset) -> Optional[np.ndarray]:
-    """``poset.covers_matrix`` when it is already set or computed, else
-    None, so that a derived poset can take it over without paying for it."""
-    return poset.__dict__.get("covers_matrix")
+    """``poset.cover_arrays`` when they are already set or derived, else
+    None, so that a derived poset can take them over without paying for
+    them."""
+    return poset.__dict__.get("cover_arrays")
+
+
+def _order_covers(leq: np.ndarray) -> np.ndarray:
+    """The bare-order rule: the cover pairs of the partial order ``leq``,
+    a (2, k) array in row-major order, as the strict pairs less
+    :func:`_redundant_pairs`: O(n²) to list the pairs and O(pairs·n/64)
+    word operations to test them.
+
+    A pair a ≤ b (a ≠ b) is redundant when some c has a ≤ c ≤ b with
+    neither c ≤ a nor b ≤ c.  On a partial order that says c ∉ {a, b}; on
+    a relation with two distinct elements below each other it need not."""
+    pairs = np.array(np.divmod(np.flatnonzero(leq), len(leq)))
+    cover = ~_redundant_pairs(_pack_rows(leq), _pack_rows(leq.T), pairs)
+    return pairs[:, cover & (pairs[0] != pairs[1])]
 
 
 def _closure(n, pairs, names) -> tuple[np.ndarray, np.ndarray]:
@@ -320,13 +373,12 @@ def _redundant_pairs(up: np.ndarray, down: np.ndarray, pairs: np.ndarray) -> np.
     """Flags the pairs a < b (``pairs`` as a (lower, upper) array) with some
     element c, a < c < b: those whose up(a) ∩ down(b) holds more than a and
     b, that is, whose strict up-set of a and strict down-set of b meet.
-    ``up`` and ``down`` are packed rows; one block of pairs at a time,
-    O(pairs·n/64) word operations."""
-    above, below = up & ~down, down & ~up  # up(x) ∩ down(x) = {x}
-    flags = np.empty(pairs.shape[1], dtype=bool)
-    for part in _row_blocks(len(flags), up.shape[1]):
-        a, b = pairs[:, part]
-        flags[part] = (above[a] & below[b]).any(axis=1)
+    ``up`` and ``down`` are packed rows, read one word of every row at a
+    time: O(pairs·n/64) word operations on temporaries the size of
+    ``pairs``."""
+    flags = np.zeros(pairs.shape[1], dtype=bool)
+    for above, below in zip((up & ~down).T, (down & ~up).T):  # up(x) ∩ down(x) = {x}
+        flags |= (above[pairs[0]] & below[pairs[1]]) != 0
     return flags
 
 
@@ -423,13 +475,13 @@ def dual_poset(p: Poset) -> Poset:
     """Same elements with the order reversed; an involution.
 
     Covers and the irreducible-row view that ``p`` has already found pass
-    over, reversed and with the sides swapped: the dual's down-set rows are
-    ``p``'s up-set rows, so (S′, ψ, S, φ) is exactly what the dual would
-    compute.  What ``p`` has not found, the dual finds for itself."""
+    over with the sides swapped: ``p``'s pairs by upper are the dual's
+    pairs in row-major order, and the dual's down-set rows are ``p``'s
+    up-set rows, so (S′, ψ, S, φ) is exactly what the dual would compute.
+    What ``p`` has not found, the dual finds for itself."""
     q = Poset(p.names, p.leq.T)
-    covers = _known_covers(p)
-    if covers is not None:
-        _set_covers(q, np.ascontiguousarray(covers.T))
+    if _known_covers(p) is not None:
+        q.__dict__.update(cover_arrays=p.covers_by_upper, covers_by_upper=p.cover_arrays)
     if "irreducible_rows" in p.__dict__:
         below, phi, above, psi = p.irreducible_rows
         q.__dict__["irreducible_rows"] = (above, psi, below, phi)
@@ -514,8 +566,7 @@ def _refine_colors_jointly(p: Poset, q: Poset) -> tuple[list[int], list[int]]:
     def base(r: Poset):
         down = r.leq.sum(axis=0)
         up = r.leq.sum(axis=1)
-        lower = [r.lower_covers(i) for i in range(r.n)]
-        upper = [r.upper_covers(i) for i in range(r.n)]
+        upper, lower = r._cover_lists
         cols = [
             (int(down[i]), int(up[i]), len(lower[i]), len(upper[i]))
             for i in range(r.n)

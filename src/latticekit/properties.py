@@ -106,7 +106,7 @@ def _pentagon_on_covers(l: Lattice) -> bool:
     """Whether some cover b ⋖ c (rows) and some a (columns) have equal
     meets and joins with b and with c."""
     meet, join = l.meet, l.join
-    lower, upper = np.nonzero(l.poset.covers_matrix)
+    lower, upper = l.poset.cover_arrays
     for part in _row_blocks(len(lower), l.n):
         b, c = lower[part], upper[part]
         if ((meet[b] == meet[c]) & (join[b] == join[c])).any():
@@ -270,7 +270,7 @@ def _modular_on_covers(l: Lattice) -> bool:
     n = l.n
     meet, join = l.meet, l.join
     meet_flat, join_flat = meet.ravel(), join.ravel()
-    lower, upper = np.nonzero(l.poset.covers_matrix)
+    lower, upper = l.poset.cover_arrays
     for part in _row_blocks(len(lower), n):
         b, c = lower[part], upper[part]
         lhs = join_flat.take(b[:, None] * n + meet[c])  # b v (a ^ c)
@@ -454,6 +454,13 @@ def interval_classes(
     For every ordered pair (a, b): when both [a^b, b] and [a, avb] are
     cover edges they are merged.  Requires a modular lattice (the relation
     degenerates otherwise) unless ``allow_nonmodular`` is set.
+
+    A graded lattice, every modular one among them, tells its covers by
+    the grading: x <= y is a cover exactly when rho(y) = rho(x) + 1, as
+    rho grows by at least one along each cover of a chain from x to y.
+    Only a lattice that is not graded looks its pairs up among the covers'
+    keys (``np.isin``), O(n² log n).  Keys are formed only for the pairs
+    found, so a graded lattice's n² scratch is int16 and boolean.
     """
     if not allow_nonmodular and not is_modular(l).modular:
         raise NotModular(
@@ -461,15 +468,19 @@ def interval_classes(
             "pass allow_nonmodular=True to override"
         )
     n = l.n
-    covers = l.poset.covers_matrix.ravel()
-    # edge k is the k-th cover in cover_pairs order, which is the row-major
-    # order of its key lower * n + upper
-    keys = np.flatnonzero(covers)
+    # edge k is the k-th cover in row-major order, the order of its key
+    # lower * n + upper
+    keys = np.ravel_multi_index(l.poset.cover_arrays, (n, n))
     index = np.arange(n)
-    lower = l.meet.astype(np.intp) * n + index  # key of [a^b, b]
-    upper = index[:, None] * n + l.join  # key of [a, avb]
-    both = covers.take(lower) & covers.take(upper)
-    first, second = (np.searchsorted(keys, key[both]) for key in (lower, upper))
+    cols = np.broadcast_to(index, (n, n))  # b of each pair (a, b); cols.T holds a
+    if l.grading.graded:  # x <= y is a cover exactly when rho(y) = rho(x) + 1
+        rho = np.fromiter(l.grading.degree.values(), np.int16, n)  # in index order
+        both = (rho.take(l.meet) == rho - 1) & (rho.take(l.join) == rho[:, None] + 1)
+    else:
+        both = np.isin(l.meet.astype(np.intp) * n + cols, keys) & np.isin(cols.T * n + l.join, keys)
+    lower = l.meet[both].astype(np.intp) * n + cols[both]  # key of [a^b, b]
+    upper = cols.T[both] * n + l.join[both]  # key of [a, avb]
+    first, second = (np.searchsorted(keys, key) for key in (lower, upper))
 
     # Shiloach-Vishkin hook and compress: each label stays in its edge's
     # component and at most its edge's id, so at the fixed point every edge
@@ -540,9 +551,8 @@ def chain_multiplicities(
     idx = [l.index(x) for x in chain]
     if not idx or idx[0] != l.bottom_index or idx[-1] != l.top_index:
         raise NotMaximalChain("chain must run from bottom to top")
-    covers = l.poset.covers_matrix
     for a, b in zip(idx, idx[1:]):
-        if not covers[a, b]:
+        if b not in l.poset.upper_covers(a):
             raise NotMaximalChain(
                 f"{l.names[b]!r} does not cover {l.names[a]!r}"
             )

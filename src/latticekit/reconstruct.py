@@ -331,9 +331,8 @@ def _check_embedded(ll: LabeledLattice, p: Poset, edge: tuple[str, str, str]):
         upper = _resolve_join_expr(ll, p, upper_text)
     except UnknownElement as exc:
         raise EmbeddingFailure(edge) from exc
-    covers = ll.lattice.poset.covers_matrix
     i, j = ll.lattice.index(lower), ll.lattice.index(upper)
-    if not covers[i, j] or ll.edge_labels.get((lower, upper)) != label:
+    if j not in ll.lattice.poset.upper_covers(i) or ll.edge_labels.get((lower, upper)) != label:
         raise EmbeddingFailure(edge)
 
 

@@ -1,4 +1,4 @@
-import functools
+import contextlib
 import random
 from pathlib import Path
 from unittest import mock
@@ -166,7 +166,7 @@ def reference_stanley_steps(p, cap):
             len(masks), len(masks)
         )
         labels = {}
-        for i, j in lk.Poset(names, leq).cover_pairs:
+        for i, j in np.argwhere(reference_covers(lk.Poset(names, leq))).tolist():
             diff = masks[j] & ~masks[i]
             if bin(diff).count("1") == 1:
                 labels[(names[i], names[j])] = p.names[diff.bit_length() - 1]
@@ -276,10 +276,10 @@ def reference_unequal_chain_witness(l):
 
 
 def reference_join_irreducibles(l, include_bottom=False):
-    """``join_irreducibles`` read off the cover matrix: the elements with
-    exactly one lower cover (and the bottom when ``include_bottom``), each
-    with its lower cover (None for the bottom)."""
-    covers = l.poset.covers_matrix
+    """``join_irreducibles`` read off the reference cover matrix: the
+    elements with exactly one lower cover (and the bottom when
+    ``include_bottom``), each with its lower cover (None for the bottom)."""
+    covers = reference_covers(l.poset)
     single = covers.sum(axis=0) == 1
     single[l.bottom_index] = include_bottom
     irr = np.flatnonzero(single).tolist()
@@ -360,8 +360,8 @@ def reference_interval_classes(l, *, allow_nonmodular=False):
     number the classes by their smallest edge."""
     if not allow_nonmodular and not lk.is_modular(l).modular:
         raise lk.NotModular("interval classes need a modular lattice")
-    covers = l.poset.covers_matrix
-    pairs = l.poset.cover_pairs
+    covers = reference_covers(l.poset)
+    pairs = [tuple(e) for e in np.argwhere(covers).tolist()]
     edge_id = {e: k for k, e in enumerate(pairs)}
     parent = list(range(len(pairs)))
 
@@ -419,42 +419,53 @@ def reference_distributive_identity_violation(l, dualized=False):
 
 
 def reference_covers(p):
-    """The transitive reduction of ``p``'s order by the float32 matmul
-    that ``Poset.covers_matrix`` runs on a bare order: i ⋖ j when i < j
-    and no k has i < k < j."""
+    """The transitive reduction of ``p``'s order by a float32 matmul: i ⋖ j
+    when i < j and no k has i < k < j.  O(n³) time and two n² float32
+    temporaries, so only an oracle."""
     lt = p.leq & ~np.eye(p.n, dtype=bool)
     ltf = lt.astype(np.float32)
     return lt & ~((ltf @ ltf) > 0.5)
 
 
-def matmul_forbidden():
-    """Make ``Poset.covers_matrix`` raise wherever its matmul would run.
+def assert_reference_covers(p):
+    """``p``'s cover arrays, both ways round, are the reference's pairs as
+    read-only (2, covers) int32 arrays in row-major order (by upper, for
+    the second)."""
+    covers = reference_covers(p)
+    for pairs, matrix in ((p.cover_arrays, covers), (p.covers_by_upper, covers.T)):
+        assert pairs.dtype == np.int32 and not pairs.flags.writeable
+        assert np.array_equal(pairs.reshape(2, -1), np.stack(np.nonzero(matrix)))
 
-    The patch is a non-data descriptor, so covers a builder set with
-    ``_set_covers`` (in the instance dict) still win.  Posets cut out by
-    ``Poset.restrict`` (the join-irreducible posets) keep the matmul by
+
+@contextlib.contextmanager
+def bare_order_rule_forbidden():
+    """Make the bare-order rule (``poset._order_covers``) raise wherever it
+    would run, so that only covers a builder set with ``_set_covers``
+    (or a dual took over) can be read.  Posets cut out by
+    ``Poset.restrict`` (the join-irreducible posets) keep the rule by
     design; they get the reference's covers up front."""
 
-    def forbidden(poset):
-        raise AssertionError(f"the matmul ran on a {poset.n}-element poset")
+    def forbidden(leq):
+        raise AssertionError(f"the bare-order rule ran on a {len(leq)}-element poset")
 
-    covers = functools.cached_property(forbidden)
-    covers.__set_name__(lk.Poset, "covers_matrix")
     restrict = lk.Poset.restrict
 
     def restrict_with_covers(self, indices):
         sub = restrict(self, indices)
-        poset_module._set_covers(sub, reference_covers(sub))
+        poset_module._set_covers(sub, np.array(np.nonzero(reference_covers(sub))))
         return sub
 
-    return mock.patch.multiple(lk.Poset, covers_matrix=covers, restrict=restrict_with_covers)
+    with mock.patch.object(poset_module, "_order_covers", forbidden), mock.patch.object(
+        lk.Poset, "restrict", restrict_with_covers
+    ):
+        yield
 
 
 def assert_covers_read_off(build):
     """The lattice ``build()`` returns, its dual, one of its intervals and
-    the lattice with both bounds adjoined, all built while the matmul
-    raises, carry covers equal to the reference's."""
-    with matmul_forbidden():
+    the lattice with both bounds adjoined, all built while the bare-order
+    rule raises, carry covers equal to the reference's."""
+    with bare_order_rule_forbidden():
         l = build()
         n, names = l.n, l.names
         a = names[n // 3]
@@ -465,8 +476,8 @@ def assert_covers_read_off(build):
             lk.add_bounds(l, bottom="lo", top="hi"),
         ]
         for x in lattices:
-            assert "covers_matrix" in vars(x.poset)
-            assert np.array_equal(x.poset.covers_matrix, reference_covers(x.poset))
+            assert "cover_arrays" in vars(x.poset)
+            assert_reference_covers(x.poset)
     return l
 
 
@@ -627,6 +638,16 @@ def reference_dedekind_count(n):
         return r
 
     return count((1 << ((1 << n) - 1)) - 1) + 1
+
+
+def reference_truth_table(e):
+    """``MonotoneElement.truth_table`` by testing every clause at every
+    one of the 2^n assignments."""
+    tt = 0
+    for a in range(1 << e.n):
+        if any(c & ~a == 0 for c in e.clauses):
+            tt |= 1 << a
+    return tt
 
 
 def reference_monotone_function_count(n):

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 import latticekit as lk
 import latticekit.freedist as fd
 
-from conftest import reference_dedekind_count, reference_monotone_function_count
+from conftest import (
+    reference_dedekind_count,
+    reference_monotone_function_count,
+    reference_truth_table,
+)
 
 
 def tt_oracle(elem):
@@ -129,6 +133,15 @@ class TestGenerate:
     def test_no_generators(self, n):
         with pytest.raises(lk.InvalidArgument, match="at least one generator"):
             fd.generate_lattice(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("extended", [False, True])
+def test_truth_tables_match_the_assignment_loop(n, extended):
+    """Each clause's cached up-set, ORed, against every clause tested at
+    every assignment."""
+    for e in fd.enumerate_elements(n, extended):
+        assert e.truth_table() == reference_truth_table(e)
 
 
 class TestDedekind:

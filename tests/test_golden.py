@@ -17,7 +17,7 @@ import pytest
 import latticekit as lk
 from latticekit.cli import main
 
-from conftest import FIXTURES, matmul_forbidden
+from conftest import FIXTURES, bare_order_rule_forbidden
 
 LATTICES = ("divisor12", "m3", "n5")
 PROPERTIES = ("modular", "distributive", "semimodular", "graded", "multfree", "jordanholder")
@@ -120,13 +120,13 @@ WITHOUT_MATMUL = [
 
 @pytest.mark.parametrize("argv", WITHOUT_MATMUL, ids=" ".join)
 def test_same_output_without_the_matmul(argv, tmp_path):
-    with matmul_forbidden():
+    with bare_order_rule_forbidden():
         assert sweep_digest(argv, tmp_path) == DIGESTS[" ".join(argv)]
 
 
 def test_factors_and_self_duality_without_the_matmul(tmp_path):
     path = tmp_path / "n1.json"
-    with matmul_forbidden():
+    with bare_order_rule_forbidden():
         with contextlib.redirect_stdout(io.StringIO()):
             main(["reconstruct", str(FIXTURES / "case_n1.json"), "--with-bounds", "--out", str(path)])
         for element, factors in (("M", "a+b+c+d+e+f+g+h"), ("B", "c+d+g+h")):

@@ -13,6 +13,7 @@ from latticekit import catalog
 from latticekit import io as lkio
 from latticekit import properties
 from latticekit import lattice as lattice_module
+from latticekit import poset as poset_module
 from latticekit.lattice import TABLE_LIMIT, set_family_tables
 from latticekit.poset import order_ideal_masks
 
@@ -21,7 +22,9 @@ from conftest import (
     CATALOG,
     WIDE,
     assert_covers_read_off,
+    assert_reference_covers,
     reference_bounds,
+    reference_covers,
     reference_degree,
     reference_distributive_identity_violation,
     reference_first_bound_tables,
@@ -871,9 +874,9 @@ def forbidden(*_):
 
 def proved_without_covers(l):
     """Build ``l``'s tables on a fresh poset, then its derived lattices
-    (bounds adjoined, dual, intervals), while the cover matrix, the
-    cover-monotonicity proof and the pair scan all fail when reached."""
-    with mock.patch.object(lk.Poset, "covers_matrix", property(forbidden)), mock.patch.multiple(
+    (bounds adjoined, dual, intervals), while the bare-order cover rule,
+    the cover-monotonicity proof and the pair scan all fail when reached."""
+    with covers_forbidden(), mock.patch.multiple(
         lk.Lattice, _lattice_laws_hold=forbidden, _scan_pairs=forbidden
     ):
         fresh = lk.Lattice(lk.Poset(l.names, l.leq), l.meet, l.join)
@@ -957,11 +960,12 @@ class TestIrreducibleRowsProof:
 
 
 def covers_forbidden():
-    return mock.patch.object(lk.Poset, "covers_matrix", property(forbidden))
+    """A fresh poset finds its covers by the bare-order rule; make it fail."""
+    return mock.patch.object(lk.poset, "_order_covers", forbidden)
 
 
 def assert_read_without_covers(l):
-    """On a fresh poset of ``l``'s order, with the cover matrix failing when
+    """On a fresh poset of ``l``'s order, with the cover rule failing when
     reached, ``as_lattice`` gives the first-common-bound reference's
     tables, ``join_irreducibles`` the cover-based reference's, and both
     distributivity certificates pass exactly when their identity holds."""
@@ -1099,3 +1103,120 @@ class TestConstructorAloneVerifies:
             lk.Lattice(p, zeros, zeros)
         assert (exc.value.kind, exc.value.candidates) == ("bottom", ["a", "b"])
         assert str(exc.value) == "no unique bottom: candidates ['a', 'b']"
+
+
+# -- one cover representation: sorted int32 pairs, as the matmul finds them ------
+
+
+def with_matmul_covers(p):
+    """A fresh poset of ``p``'s order carrying the reference matmul's
+    covers, which every bare order read before the bare-order rule."""
+    q = lk.Poset(p.names, p.leq)
+    poset_module._set_covers(q, np.array(np.nonzero(reference_covers(q))))
+    return q
+
+
+def any_outcome(build):
+    """``build()``'s lattice as its tables and bounds, or the LatticeError
+    it raised as (type, message)."""
+    try:
+        l = build()
+    except lk.LatticeError as exc:
+        return type(exc).__name__, str(exc)
+    return l.meet.tobytes(), l.join.tobytes(), l.bottom_index, l.top_index
+
+
+@st.composite
+def random_relations(draw):
+    """Relations on up to 128 elements: a partial order from
+    ``wide_partial_orders`` with up to three cells flipped (so often no
+    partial order), or a random matrix with a true diagonal."""
+    if draw(st.booleans()):
+        p = draw(wide_partial_orders())
+        leq = p.leq.copy()
+        cell = st.integers(min_value=0, max_value=p.n - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            i, j = draw(cell), draw(cell)
+            leq[i, j] = not leq[i, j]
+        return lk.Poset(p.names, leq)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    leq = (rng.random((n, n)) < draw(st.sampled_from([0.1, 0.3, 0.6]))) | np.eye(n, dtype=bool)
+    return lk.Poset([f"e{i}" for i in range(n)], leq)
+
+
+class TestCoverArraysMatchReference:
+    """Every poset's cover arrays, set by its builder or found by the
+    bare-order rule, are the matmul's pairs in row-major order."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_and_derived(self, name):
+        l = CATALOG[name]()
+        for x in [l, *derived_lattices(l)]:
+            assert_reference_covers(x.poset)
+
+    @settings(max_examples=40, deadline=None)
+    @given(searched_lattices(), st.randoms(use_true_random=False))
+    def test_searched_and_derived(self, l, rnd):
+        a, b = sorted(rnd.sample(range(l.n), 2) if l.n > 1 else [0, 0])
+        lattices = [
+            l,
+            l.dual,
+            l.dual.dual,
+            lk.add_bounds(l, bottom="lo", top="hi"),
+            lk.add_bounds(l.dual, top="hi"),
+            lk.interval_sublattice(l, l.meet_of(l.names[a], l.names[b]), l.names[b]),
+        ]
+        for x in lattices:
+            assert_reference_covers(x.poset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_partial_orders(), st.randoms(use_true_random=False))
+    def test_bare_orders_and_restrictions(self, p, rnd):
+        assert_reference_covers(p)
+        assert_reference_covers(p.restrict(rnd.sample(range(p.n), rnd.randint(0, p.n))))
+        assert_reference_covers(lk.dual_poset(p))
+
+
+class TestBareOrderRuleKeepsOutcomes:
+    """``as_lattice`` and the constructor give the same tables or the same
+    error whether a bare order's covers come from the bare-order rule or
+    from the matmul: the lattice check reads covers only once below-counts
+    grow along the order, where the two agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_relations())
+    def test_as_lattice_on_random_relations(self, p):
+        fresh = any_outcome(lambda: lk.as_lattice(lk.Poset(p.names, p.leq)))
+        assert fresh == any_outcome(lambda: lk.as_lattice(with_matmul_covers(p)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda wide: corrupted_tables(wide=wide)))
+    def test_constructor_on_corrupted_tables(self, case):
+        poset, meet, join = case
+        fresh = verify_outcome(lambda: lk.Lattice(lk.Poset(poset.names, poset.leq), meet, join))
+        assert fresh == verify_outcome(lambda: lk.Lattice(with_matmul_covers(poset), meet, join))
+
+
+def test_no_square_nonzero_on_b10(tmp_path):
+    """Building B10 (as a ring of sets and as J of a 10-antichain), writing
+    it, grading it and ``verify_jordan_holder`` hand ``np.nonzero`` and
+    ``np.flatnonzero`` no array of n² cells."""
+    sizes = []
+
+    def spy(real):
+        def counted(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        return counted
+
+    names = [f"x{i}" for i in range(10)]
+    with mock.patch.object(np, "nonzero", spy(np.nonzero)), mock.patch.object(
+        np, "flatnonzero", spy(np.flatnonzero)
+    ):
+        for l in (catalog.boolean_lattice(10), lk.ideals_lattice(lk.build_poset(names, [])).lattice):
+            lkio.write_lattice(tmp_path / "b10.json", l)
+            assert l.grading.graded
+            assert lk.verify_jordan_holder(l).ok
+    assert sizes and max(sizes) < 1024**2

@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
-from latticekit.poset import RedundantCoverWarning, _pack_rows
+from latticekit.poset import RedundantCoverWarning, _c_ordered_copy, _pack_rows
 
-from conftest import BLOCK_CELLS, row_ints, table_blocks
+from conftest import (
+    BLOCK_CELLS,
+    assert_reference_covers,
+    reference_covers,
+    row_ints,
+    table_blocks,
+)
 
 PENTAGON_COVERS = [("0", "a"), ("a", "1"), ("0", "c"), ("c", "b"), ("b", "1")]
 
@@ -302,12 +308,13 @@ class TestCoversFromListedPairs:
         with warnings.catch_warnings(record=True) as caught, table_blocks(cells):
             warnings.simplefilter("always")
             p = lk.build_poset(names, covers)
-        reference = lk.Poset(p.names, p.leq)  # built from leq: the matmul
-        assert np.array_equal(p.covers_matrix, reference.covers_matrix)
+        assert_reference_covers(p)
+        reference = lk.Poset(p.names, p.leq)  # built from leq: the bare-order rule
+        assert_reference_covers(reference)
         for q in (p, reference):  # (lower, upper) ascending
-            assert list(q.cover_pairs) == sorted(map(tuple, np.argwhere(q.covers_matrix).tolist()))
-        # the warnings the matmul's reduction gave: dropped pairs by index
-        reduction = set(reference.cover_pairs)
+            assert list(q.cover_pairs) == sorted(map(tuple, np.argwhere(reference_covers(q)).tolist()))
+        # the warnings the reference's reduction gives: dropped pairs by index
+        reduction = set(map(tuple, np.argwhere(reference_covers(p)).tolist()))
         pairs = {(p.index(a), p.index(b)) for a, b in covers}
         expected = [
             f"redundant cover pair ({names[a]!r}, {names[b]!r}) dropped"
@@ -322,5 +329,19 @@ class TestCoversFromListedPairs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RedundantCoverWarning)
             p = lk.build_poset(["0", "a", "1"], covers, warn_redundant=warn)
-        assert "covers_matrix" in vars(p)  # its matmul getter never ran
+        assert "cover_arrays" in vars(p)  # the bare-order rule never ran
         assert p.cover_names() == [("0", "a"), ("a", "1")]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (1, 7), (7, 1), (255, 257), (300, 520)])
+def test_transposed_views_copied_in_tiles(shape):
+    """A transposed view is copied tile by tile into C order, equal to the
+    view; Poset and _pack_rows take such views."""
+    a = np.random.default_rng(sum(shape)).random(shape) < 0.4
+    for view in (a.T, a[::2].T, a):
+        copy = _c_ordered_copy(view)
+        assert copy.flags.c_contiguous and np.array_equal(copy, view)
+        assert np.array_equal(_pack_rows(view), _pack_rows(np.ascontiguousarray(view)))
+    if shape[0] == shape[1]:
+        p = lk.Poset([str(i) for i in range(shape[0])], a.T)
+        assert p.leq.flags.c_contiguous and np.array_equal(p.leq, a.T)
