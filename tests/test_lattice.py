@@ -23,6 +23,8 @@ from conftest import (
     WIDE,
     assert_covers_read_off,
     assert_reference_covers,
+    chain_lattice,
+    diamond_lattice,
     reference_bounds,
     reference_covers,
     reference_degree,
@@ -444,13 +446,13 @@ def lookup_outcomes(p):
     sides = []
     reflects_order = lattice_module._reflects_order
 
-    def spy(rows, bounds, exact=False):
+    def spy(rows, bounds, exact=False, wanted=None):
         if exact:
             return reflects_order(rows, bounds, exact=True)
-        sides.append((rows.shape[1], reflects_order(rows, bounds)))
+        sides.append((rows.shape[1], reflects_order(rows, bounds, wanted=wanted)))
         return sides[-1][1]
 
-    def refused(rows, bounds, exact=False):
+    def refused(rows, bounds, exact=False, wanted=None):
         return reflects_order(rows, bounds, exact=True) if exact else False
 
     with mock.patch.object(lattice_module, "_reflects_order", spy):
@@ -872,15 +874,16 @@ def forbidden(*_):
     raise AssertionError("read while checking one-word rows")
 
 
-def proved_without_covers(l):
-    """Build ``l``'s tables on a fresh poset, then its derived lattices
-    (bounds adjoined, dual, intervals), while the bare-order cover rule,
-    the cover-monotonicity proof and the pair scan all fail when reached."""
+def proved_without_covers(l, derived=True):
+    """Build ``l``'s tables on a fresh poset, then (with ``derived``) its
+    derived lattices (bounds adjoined, dual, intervals), while the
+    bare-order cover rule, the cover-monotonicity proof and the pair scan
+    all fail when reached."""
     with covers_forbidden(), mock.patch.multiple(
         lk.Lattice, _lattice_laws_hold=forbidden, _scan_pairs=forbidden
     ):
         fresh = lk.Lattice(lk.Poset(l.names, l.leq), l.meet, l.join)
-        return [fresh, *derived_lattices(fresh)]
+        return [fresh, *(derived_lattices(fresh) if derived else [])]
 
 
 class TestIrreducibleRowsProof:
@@ -957,6 +960,110 @@ class TestIrreducibleRowsProof:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+# -- one-word irreducible rows at their narrowest width ---------------------------
+
+# S = J ∪ {0} of 8, 9, 16, 17, 32, 33 and 64 elements: the widest rows of
+# one narrow dtype, and the narrowest of the next
+WIDTHS = [8, 9, 16, 17, 32, 33, 64]
+
+
+def width_lattices(bits):
+    """A chain and M_k whose S and S′ have ``bits`` elements each, so that
+    the top's φ and the bottom's ψ have all ``bits`` bits set."""
+    return [chain_lattice(bits - 1), diamond_lattice(bits - 1)]
+
+
+def proof_outcome(l, meet, join):
+    """Whether ``_irreducible_rows_prove`` accepts ``meet`` and ``join`` on
+    ``l``'s order, and the constructor's outcome (see verify_outcome)."""
+    tables = SimpleNamespace(n=l.n, poset=l.poset, leq=l.leq, meet=meet, join=join)
+    return lk.Lattice._irreducible_rows_prove(tables), verify_outcome(lambda: lk.Lattice(l.poset, meet, join))
+
+
+class TestNarrowWidths:
+    """The proof reads φ and ψ as 1-d words of the narrowest unsigned
+    dtype that holds them; at each width boundary it accepts the true
+    tables and refuses entries wrong only in the bits above a narrower
+    width, as the reference refuses them."""
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_true_tables_are_proved(self, bits):
+        for l in width_lattices(bits):
+            _, phi, _, psi = l.poset.irreducible_rows
+            full = (1 << bits) - 1
+            assert int(phi.max()) == int(psi.max()) == full
+            assert poset_module._narrow_words(phi).dtype == np.min_scalar_type(full)
+            assert proof_outcome(l, l.meet, l.join) == (True, None)
+            proved_without_covers(l, derived=False)
+
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "one"])
+    @pytest.mark.parametrize("which", ["meet", "join"])
+    @pytest.mark.parametrize("bits, low", [(17, 8), (33, 8), (33, 16), (64, 8), (64, 16), (64, 32)])
+    def test_entries_wrong_in_high_bits_are_refused(self, bits, low, which, both):
+        """On a chain, meet[low, top] moves from c_low to c_(low-1) (φ loses
+        bit low) or join[low, bottom] from c_low to c_(low+1) (ψ loses bit
+        low): a bound of the pair either way, wrong only in a bit no word of
+        ``low`` bits holds."""
+        l = chain_lattice(bits - 1)
+        a, b, wrong = (low, l.n - 1, low - 1) if which == "meet" else (low, 0, low + 1)
+        tables = {"meet": np.array(l.meet), "join": np.array(l.join)}
+        right = int(tables[which][a, b])
+        tables[which][a, b] = wrong
+        if both:
+            tables[which][b, a] = wrong
+        _, phi, _, psi = l.poset.irreducible_rows
+        rows = (phi if which == "meet" else psi)[:, 0].astype(object)
+        differ = rows[right] ^ rows[wrong]
+        assert differ and differ >> low << low == differ
+        expected = verify_outcome(lambda: reference_verify(l.poset, tables["meet"], tables["join"]))
+        assert expected is not None
+        assert proof_outcome(l, tables["meet"], tables["join"]) == (False, expected)
+
+    @pytest.mark.parametrize("k", [99, 199])
+    def test_chain_reflection_runs_no_subset_pass(self, k):
+        """On a chain S and S′ are every element, and a ∈ φ(a) already
+        makes φ(a) ⊆ φ(b) say a ≤ b: as_lattice tests no row, and the
+        constructor (rows wider than a word) none either."""
+        passes = []
+        blocks = lattice_module._subset_blocks
+
+        def counted(rows, wanted=None):
+            for block, inside in blocks(rows, wanted):
+                passes.append(len(inside))
+                yield block, inside
+
+        with mock.patch.object(lattice_module, "_subset_blocks", counted):
+            l = lk.as_lattice(catalog.chain_poset(k))
+        index = np.arange(k + 1)
+        assert passes == []
+        assert np.array_equal(l.meet, np.minimum.outer(index, index))
+        assert np.array_equal(l.join, np.maximum.outer(index, index))
+
+    @pytest.mark.parametrize("cells", BLOCK_CELLS)
+    @pytest.mark.parametrize("name", ["pentagon", "diamond", "B4", "M3xN5"])
+    def test_reflection_tests_only_blocks_outside_s(self, name, cells):
+        """as_lattice's reflection pass on each side tests the row blocks
+        that hold an element outside S (S′), and the tables stay the
+        reference's."""
+        l = CATALOG[name]()
+        p = lk.Poset(l.names, l.leq)
+        below, _, above, _ = p.irreducible_rows
+        tested = []
+        blocks = lattice_module._subset_blocks
+
+        def counted(rows, wanted=None):
+            for block, inside in blocks(rows, wanted):
+                tested.append(range(l.n)[block])
+                yield block, inside
+
+        with table_blocks(cells), mock.patch.object(lattice_module, "_subset_blocks", counted):
+            outcome = lattice_outcome(p)
+            side = poset_module._row_blocks(l.n, l.n)
+        expected = [range(l.n)[b] for flags in (above, below) for b in side if not flags[b].all()]
+        assert tested[: len(expected)] == expected
+        assert outcome == tables_outcome(lambda: reference_first_bound_tables(p))
 
 
 def covers_forbidden():

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
-from latticekit.poset import RedundantCoverWarning, _c_ordered_copy, _pack_rows
+from latticekit.poset import (
+    RedundantCoverWarning,
+    _c_ordered_copy,
+    _narrow_words,
+    _pack_rows,
+    _row_blocks,
+    _subset_blocks,
+)
 
 from conftest import (
     BLOCK_CELLS,
@@ -345,3 +352,45 @@ def test_transposed_views_copied_in_tiles(shape):
     if shape[0] == shape[1]:
         p = lk.Poset([str(i) for i in range(shape[0])], a.T)
         assert p.leq.flags.c_contiguous and np.array_equal(p.leq, a.T)
+
+
+def reference_subsets(rows):
+    """``inside[i, j]``: packed row i is a subset of row j, on uint64 words."""
+    return ~(rows[:, None] & ~rows[None]).any(axis=2)
+
+
+@pytest.mark.parametrize("cells", BLOCK_CELLS)
+@pytest.mark.parametrize("width", [8, 9, 16, 17, 32, 33, 64])
+def test_subset_blocks_at_each_narrow_width(width, cells):
+    """One-word rows of ``width`` bits, tested on their narrowest dtype,
+    give the uint64 reference's subsets, in every row block or in those
+    holding a wanted row.
+    The rows include the empty row, the full row (bit 63 at width 64) and
+    intersections of random rows, so that many pairs are subsets."""
+    rng = np.random.default_rng(width)
+    full = (1 << width) - 1
+    words = [int(w) & full for w in rng.integers(0, 2**64, size=40, dtype=np.uint64)]
+    words += [a & b for a, b in zip(words, words[1:])] + [0, full, 1 << (width - 1)]
+    rows = np.array(words, dtype=np.uint64)[:, None]
+    narrow = _narrow_words(rows)
+    assert narrow.shape == (len(rows),) and narrow.dtype == np.min_scalar_type(full)
+    assert _narrow_words(narrow) is narrow
+    expected = reference_subsets(rows)
+    wanted = np.zeros(len(rows), dtype=bool)
+    wanted[rng.permutation(len(rows))[:3]] = True
+    with table_blocks(cells):
+        for flags in (None, wanted):
+            got = list(_subset_blocks(rows, flags))
+            blocks = _row_blocks(len(rows), len(rows))
+            assert [block for block, _ in got] == [b for b in blocks if flags is None or flags[b].any()]
+            for block, inside in got:
+                assert np.array_equal(inside, expected[block])
+
+
+def test_subset_blocks_on_two_words_unchanged():
+    rng = np.random.default_rng(2)
+    rows = rng.integers(0, 2**64, size=(30, 2), dtype=np.uint64)
+    rows = np.concatenate([rows, rows[:-1] & rows[1:], np.zeros((1, 2), dtype=np.uint64)])
+    assert _narrow_words(rows) is rows
+    got = np.concatenate([inside for _, inside in _subset_blocks(rows)])
+    assert np.array_equal(got, reference_subsets(rows))

@@ -445,6 +445,22 @@ class TestIdentityWitnessesMatchReference:
         assert_witnesses_match(l)
 
 
+@pytest.mark.parametrize("bits", [8, 9, 16, 17, 32, 33, 64])
+@pytest.mark.parametrize("factor", [catalog.diamond, catalog.pentagon, lambda: chain_lattice(3)], ids=["M3", "N5", "C4"])
+def test_certificates_at_each_narrow_width(factor, bits):
+    """M3 × chain, N5 × chain and the distributive C4 × chain, with S and
+    S′ of ``bits`` elements (the left factor's three join-irreducibles on
+    φ's highest bits), so that φ and ψ are one word of 8, 16, 32 or 64
+    bits: both certificates give the reference's verdict."""
+    l = product_lattice(factor(), chain_lattice(bits - 4))
+    for k in (1, 3):
+        assert int(l.poset.irreducible_rows[k].max()).bit_length() == bits
+    for dualized in (False, True):
+        expected = reference_distributive_identity_violation(l, dualized) is None
+        assert expected == (factor not in (catalog.diamond, catalog.pentagon))
+        assert properties._distributive_on_irreducibles(l, dualized) == expected
+
+
 # -- cubic scans only where a certificate fails -------------------------------------
 
 
