@@ -1,9 +1,10 @@
 """Fundamental theorem of finite distributive lattices.
 
 J(P) construction (down-sets under union/intersection, cover edges labeled
-by the element they add), its inverse on join irreducibles, round-trip
-verification, and the incremental gluing construction that grows J(P) one
-join irreducible at a time.  J(P)'s tables and the construction's unions
+by the element they add), its inverse on join irreducibles, lattice
+isomorphism on the join- and meet-irreducibles, round-trip verification,
+and the incremental gluing construction that grows J(P) one join
+irreducible at a time.  J(P)'s tables and the construction's unions
 both go through the pair lookup in :mod:`latticekit.lattice`.
 """
 
@@ -15,15 +16,23 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, InvariantViolation, NotDistributive, UnknownElement
+from .errors import (
+    InvalidArgument,
+    InvariantViolation,
+    NotDistributive,
+    SizeLimitExceeded,
+    UnknownElement,
+)
 from .freedist import _mask_indices
 from .lattice import (
     Edge, Lattice, _check_limit, _pair_lookup, join_irreducibles, set_family_lattice
 )
 from .poset import (
     DEFAULT_IDEAL_CAP,
+    DEFAULT_ISO_CAP,
     Poset,
     _canonical_rows,
+    _colored_isomorphism,
     _pack_rows,
     _row_blocks,
     _subset_blocks,
@@ -111,50 +120,84 @@ def irreducible_poset(l: Lattice) -> Poset:
 
 
 def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[str, str]]:
-    """An order isomorphism between two lattices, or None.
+    """A lattice isomorphism a -> b as a name-to-name map, or None.
 
-    Distributive pairs go through their join-irreducible posets (the map
-    extends uniquely to the whole lattice); anything else falls back to
-    generic poset isomorphism search.
+    One search serves every pair, distributive or not.  Let J be the
+    nonzero join-irreducibles (S of :attr:`Poset.irreducible_rows` less the
+    bottom) and M the meet-irreducibles other than the top (S′ less the
+    top).  Then a ≅ b exactly when their subposets on J ∪ M are isomorphic
+    by a map σ that keeps each element's kind (J only, M only, or both),
+    and x ↦ ∨ σ(J(x)), J(x) = J ∩ down(x), is then a lattice isomorphism.
+
+    *Proof.*  An isomorphism f: a → b keeps covers, so it maps J onto J and
+    M onto M, and its restriction is such a σ.  Conversely, by the basic
+    theorem of formal concept analysis (Ganter and Wille, *Formal Concept
+    Analysis*, 1999, Ch. 1; Birkhoff's representation is its distributive
+    case), a finite lattice is isomorphic to the concept lattice of its
+    context (J, M, ≤) by x ↦ (J(x), M(x)), since J is join-dense and M
+    meet-dense.  σ maps J onto J and M onto M and keeps j ≤ m both ways,
+    so it is an isomorphism of the contexts and carries the concept
+    (J(x), M(x)) of a to the concept (σJ(x), σM(x)) of b, which is
+    (J(y), M(y)) for the y with J(y) = σJ(x).  Join-density gives
+    y = ∨ J(y) = ∨ σJ(x).  ∎
+
+    The kinds are the search's initial colours, so a σ that breaks them is
+    never tried.  The map is built by one gather per j ∈ J (see
+    :func:`_join_extension`) and then checked to be a bijection that keeps
+    ``leq`` both ways; a map that fails raises
+    :class:`InvariantViolation`.  No property verdict is computed.  Raises
+    :class:`SizeLimitExceeded` when |J| or |M| exceeds
+    ``DEFAULT_ISO_CAP``, the bound that the search on J(P) of a
+    distributive pair (|J| = |M|) has always had.
     """
-    from .properties import is_distributive
-
     if a.n != b.n:
         return None
-    if a.n <= 1:
-        return {a.names[0]: b.names[0]} if a.n == 1 else {}
-    da = is_distributive(a).distributive
-    db = is_distributive(b).distributive
-    if da != db:
+    (kept_a, kinds_a), (kept_b, kinds_b) = _irreducible_kinds(a), _irreducible_kinds(b)
+    counts = np.bincount(kinds_a, minlength=4)
+    if not np.array_equal(counts, np.bincount(kinds_b, minlength=4)):
         return None
-    if da:
-        pa, pb = irreducible_poset(a), irreducible_poset(b)
-        phi = is_isomorphic(pa, pb)
-        if phi is None:
-            return None
-        mapping = _extend_irreducible_map(a, b, phi)
-        if mapping is None:
-            raise InvariantViolation("irreducible map failed to extend")
-        return mapping
-    return is_isomorphic(a.poset, b.poset)
+    irreducibles = max(counts[1] + counts[3], counts[2] + counts[3])
+    if irreducibles > DEFAULT_ISO_CAP:
+        raise SizeLimitExceeded(
+            f"lattice isomorphism search capped at {DEFAULT_ISO_CAP} join- or "
+            f"meet-irreducibles (got {irreducibles})"
+        )
+    sigma = _colored_isomorphism(
+        a.poset.restrict(kept_a), b.poset.restrict(kept_b), kinds_a.tolist(), kinds_b.tolist()
+    )
+    if sigma is None:
+        return None
+    joins = (kinds_a & 1).astype(bool)
+    perm = _join_extension(a, b, kept_a[joins], kept_b[np.asarray(sigma, dtype=np.intp)[joins]])
+    bijective = np.bincount(perm, minlength=a.n).max() == 1
+    if not bijective or not all(
+        np.array_equal(a.leq[rows], b.leq[perm[rows]][:, perm]) for rows in _row_blocks(a.n, a.n)
+    ):
+        raise InvariantViolation("irreducible map failed to extend")
+    return dict(zip(a.names, map(b.names.__getitem__, perm.tolist())))
 
 
-def _extend_irreducible_map(a, b, phi) -> Optional[dict[str, str]]:
-    """Extend irreducibles map to x -> join of images below x; verify."""
-    irr_a = [a.index(x) for x in phi]
-    images = {a.index(x): b.index(y) for x, y in phi.items()}
-    perm = np.zeros(a.n, dtype=int)
-    for i in range(a.n):
-        j = b.bottom_index
-        for k in irr_a:
-            if a.leq[k, i]:
-                j = int(b.join[j, images[k]])
-        perm[i] = j
-    if len(set(perm.tolist())) != a.n:
-        return None
-    if not (a.leq == b.leq[np.ix_(perm, perm)]).all():
-        return None
-    return {a.names[i]: b.names[perm[i]] for i in range(a.n)}
+def _irreducible_kinds(l: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of J ∪ M, ascending, and each one's kind: 1 join-
+    irreducible only, 2 meet-irreducible only, 3 both (J and M as in
+    :func:`lattice_isomorphic`)."""
+    below, _, above, _ = l.poset.irreducible_rows
+    kinds = below.astype(np.intp) + 2 * above
+    kinds[l.bottom_index] &= 2
+    kinds[l.top_index] &= 1
+    kept = np.flatnonzero(kinds)
+    return kept, kinds[kept]
+
+
+def _join_extension(a: Lattice, b: Lattice, joins: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """x ↦ ∨ {images[k] : joins[k] ≤ x} from a's elements to b's indices:
+    every x starts at b's bottom, and each join-irreducible j joins its
+    image into the x above it, one gather of ``b.join`` per j."""
+    perm = np.full(a.n, b.bottom_index, dtype=np.intp)
+    for j, image in zip(joins.tolist(), images.tolist()):
+        above = a.leq[j]
+        perm[above] = b.join[perm[above], image]
+    return perm
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import warnings
 from functools import cached_property
 from itertools import compress
+from operator import ne
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -438,7 +439,27 @@ def _kahn_levels(n, pairs, names) -> list[list[tuple[int, int]]]:
 
 
 def _find_cycle(n, succ, indeg):
+    """A cycle among the elements Kahn's pass left unplaced (``indeg`` >
+    0): from the least of them that reaches one, always on to the first
+    successor that does.  An unplaced element may only lie above a cycle
+    and reach none, so those are peeled off first, sinks inward (Kahn's
+    pass on the reversed pairs), in O(n + pairs)."""
     in_cycle = {i for i in range(n) if indeg[i] > 0}
+    below = {i: [] for i in in_cycle}
+    ahead = dict.fromkeys(in_cycle, 0)  # successors still in the set
+    for a in in_cycle:
+        for b in succ[a]:
+            if b in in_cycle:
+                below[b].append(a)
+                ahead[a] += 1
+    sinks = [i for i in in_cycle if not ahead[i]]
+    while sinks:
+        b = sinks.pop()
+        in_cycle.discard(b)
+        for a in below[b]:
+            ahead[a] -= 1
+            if not ahead[a]:
+                sinks.append(a)
     start = min(in_cycle)
     path, seen = [start], {start}
     while True:
@@ -525,7 +546,8 @@ def is_isomorphic(
     Returns a name-to-name bijection preserving <= in both directions, or
     None.  Backtracking over refinement classes (degree/level invariants),
     deterministic: the first mapping under canonical candidate order is
-    returned.  Raises :class:`SizeLimitExceeded` above ``limit`` elements.
+    returned (:func:`_colored_isomorphism`, every element one colour).
+    Raises :class:`SizeLimitExceeded` above ``limit`` elements.
     """
     if p.n != q.n:
         return None
@@ -533,74 +555,97 @@ def is_isomorphic(
         raise SizeLimitExceeded(
             f"isomorphism search capped at {limit} elements (got {p.n})"
         )
-    if p.n == 0:
-        return {}
-    cp, cq = _refine_colors_jointly(p, q)
+    image = _colored_isomorphism(p, q, [0] * p.n, [0] * q.n)
+    if image is None:
+        return None
+    return {p.names[i]: q.names[j] for i, j in enumerate(image)}
+
+
+def _colored_isomorphism(
+    p: Poset, q: Poset, colors_p: Sequence[int], colors_q: Sequence[int]
+) -> Optional[list[int]]:
+    """``image[i]``, the index in ``q`` of p's element i, for the first
+    order isomorphism p -> q that maps each element to one of the same
+    initial colour, or None.  The colours seed the refinement
+    (:func:`_refine_colors_jointly`), whose classes only split them, and an
+    element is tried only against q's elements of its own class, so the
+    search never leaves a colour: a map it rejects for breaking one is
+    never returned in place of one that keeps them.
+
+    Backtracking with an explicit stack, so no recursion limit applies:
+    the most constrained class first, index as tie-break; candidates with
+    p's name first, so that a poset maps to itself identically, then by
+    index.  A candidate is kept when it relates to every element placed
+    so far as its preimage does, read off ``2·leq + leqᵀ`` as Python lists:
+    entry [i][a] is 0 when i and a are incomparable, 1 when a < i, 2 when
+    i < a and 3 when i = a.
+    """
+    n = p.n
+    if n == 0:
+        return []
+    cp, cq = _refine_colors_jointly(p, q, colors_p, colors_q)
     if sorted(cp) != sorted(cq):
         return None
 
     by_color_q: dict[int, list[int]] = {}
     for j, c in enumerate(cq):
         by_color_q.setdefault(c, []).append(j)
-    # assign the most constrained color classes first, index as tie-break
-    order = sorted(range(p.n), key=lambda i: (len(by_color_q[cp[i]]), cp[i], i))
-
-    n = p.n
-    leq_p, leq_q = p.leq, q.leq
-    mapping = [-1] * n
-    used = [False] * n
-    # same-name candidates first so a poset maps to itself identically
-    candidates = {
-        i: sorted(by_color_q[cp[i]], key=lambda j: (q.names[j] != p.names[i], j))
+    order = sorted(range(n), key=lambda i: (len(by_color_q[cp[i]]), cp[i], i))
+    candidates = [
+        sorted(by_color_q[cp[i]], key=lambda j: (q.names[j] != p.names[i], j))
         for i in range(n)
-    }
+    ]
+    rel_p, rel_q = ((2 * r.leq.astype(np.int8) + r.leq.T).tolist() for r in (p, q))
 
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    used = [False] * n
+    placed: list[int] = []  # placed[k]: the image of order[k]
+    tried = [0] * n  # tried[k]: candidates of order[k] tried so far
+    while len(placed) < n:
+        k = len(placed)
         i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for a in order[:k]:
-                b = mapping[a]
-                if leq_p[i, a] != leq_q[j, b] or leq_p[a, i] != leq_q[b, j]:
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
+        row_p, before = rel_p[i], order[:k]
+        for pos in range(tried[k], len(candidates[i])):
+            j = candidates[i][pos]
+            if not used[j] and not any(
+                map(ne, map(row_p.__getitem__, before), map(rel_q[j].__getitem__, placed))
+            ):
+                tried[k] = pos + 1
                 used[j] = True
-                if extend(k + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
+                placed.append(j)
+                break
+        else:  # no candidate left for order[k]: take back order[k - 1]'s
+            if k == 0:
+                return None
+            tried[k] = 0
+            used[placed.pop()] = False
+    image = [0] * n
+    for i, j in zip(order, placed):
+        image[i] = j
+    return image
 
-    if not extend(0):
-        return None
-    return {p.names[i]: q.names[mapping[i]] for i in range(n)}
 
-
-def _refine_colors_jointly(p: Poset, q: Poset) -> tuple[list[int], list[int]]:
+def _refine_colors_jointly(
+    p: Poset, q: Poset, colors_p: Sequence[int], colors_q: Sequence[int]
+) -> tuple[list[int], list[int]]:
     """Stable 1-WL-style colors on both cover digraphs with a shared table.
 
-    Initial color = (downset size, upset size, lower/upper cover counts);
-    each round folds in the sorted colors of cover neighbours.
+    Initial color = (given color, downset size, upset size, lower/upper
+    cover counts); each round folds in the sorted colors of cover
+    neighbours.
     """
 
-    def base(r: Poset):
+    def base(r: Poset, colors):
         down = r.leq.sum(axis=0)
         up = r.leq.sum(axis=1)
         upper, lower = r._cover_lists
         cols = [
-            (int(down[i]), int(up[i]), len(lower[i]), len(upper[i]))
+            (colors[i], int(down[i]), int(up[i]), len(lower[i]), len(upper[i]))
             for i in range(r.n)
         ]
         return cols, lower, upper
 
-    cp, lp, up_p = base(p)
-    cq, lq, up_q = base(q)
+    cp, lp, up_p = base(p, colors_p)
+    cq, lq, up_q = base(q, colors_q)
     cp, cq = _canon_pair(cp, cq)
     for _ in range(max(p.n, q.n)):
         np_ = [

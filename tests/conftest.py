@@ -427,6 +427,111 @@ def reference_covers(p):
     return lt & ~((ltf @ ltf) > 0.5)
 
 
+def reference_is_isomorphic(p, q):
+    """The recursive poset isomorphism search that the stack-based one
+    replaced: the same refinement (seeded by no colour), class order and
+    candidate order, on NumPy scalar reads.  Its first map is the one
+    ``is_isomorphic`` must return; it recurses once per element, so keep
+    it to small posets."""
+
+    def neighbours(r):
+        covers = reference_covers(r)
+        return [np.flatnonzero(covers[:, i]) for i in range(r.n)], [
+            np.flatnonzero(covers[i]) for i in range(r.n)
+        ]
+
+    def canon(a, b):
+        table = {v: k for k, v in enumerate(sorted(set(a) | set(b)))}
+        return [table[v] for v in a], [table[v] for v in b]
+
+    if p.n != q.n:
+        return None
+    n = p.n
+    (lp, up_p), (lq, up_q) = neighbours(p), neighbours(q)
+    cp, cq = (
+        [
+            (int(r.leq[:, i].sum()), int(r.leq[i].sum()), len(lower[i]), len(upper[i]))
+            for i in range(r.n)
+        ]
+        for r, lower, upper in ((p, lp, up_p), (q, lq, up_q))
+    )
+    cp, cq = canon(cp, cq)
+    for _ in range(n):
+        fold = [
+            [(c[i], tuple(sorted(c[j] for j in lower[i])), tuple(sorted(c[j] for j in upper[i])))
+             for i in range(n)]
+            for c, lower, upper in ((cp, lp, up_p), (cq, lq, up_q))
+        ]
+        new_p, new_q = canon(*fold)
+        if len(set(new_p) | set(new_q)) == len(set(cp) | set(cq)):
+            cp, cq = new_p, new_q
+            break
+        cp, cq = new_p, new_q
+    if sorted(cp) != sorted(cq):
+        return None
+    by_color = {}
+    for j, c in enumerate(cq):
+        by_color.setdefault(c, []).append(j)
+    order = sorted(range(n), key=lambda i: (len(by_color[cp[i]]), cp[i], i))
+    mapping, used = [-1] * n, [False] * n
+
+    def extend(k):
+        if k == n:
+            return True
+        i = order[k]
+        for j in sorted(by_color[cp[i]], key=lambda j: (q.names[j] != p.names[i], j)):
+            if used[j] or any(
+                p.leq[i, a] != q.leq[j, mapping[a]] or p.leq[a, i] != q.leq[mapping[a], j]
+                for a in order[:k]
+            ):
+                continue
+            mapping[i], used[j] = j, True
+            if extend(k + 1):
+                return True
+            mapping[i], used[j] = -1, False
+        return False
+
+    return {p.names[i]: q.names[mapping[i]] for i in range(n)} if extend(0) else None
+
+
+def reference_lattices_isomorphic(a, b):
+    """Whether some permutation of a's elements onto b's keeps the order
+    both ways: every permutation is tried, element by element in index
+    order, pruned only by the down-set and up-set sizes each image must
+    share and by the pairs already placed.  For small lattices only."""
+    if a.n != b.n:
+        return False
+    sizes = [list(zip(l.leq.sum(axis=0).tolist(), l.leq.sum(axis=1).tolist())) for l in (a, b)]
+    leq_a, leq_b = a.leq.tolist(), b.leq.tolist()
+    image = []
+
+    def extend(i):
+        if i == a.n:
+            return True
+        for j in range(b.n):
+            if j in image or sizes[0][i] != sizes[1][j]:
+                continue
+            if all(
+                leq_a[i][k] == leq_b[j][image[k]] and leq_a[k][i] == leq_b[image[k]][j]
+                for k in range(i)
+            ):
+                image.append(j)
+                if extend(i + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
+
+
+def assert_order_isomorphism(iso, a, b):
+    """``iso`` maps the names of ``a`` (a poset or lattice) one to one onto
+    those of ``b`` and keeps the order both ways."""
+    assert list(iso) == list(a.names) and sorted(iso.values()) == sorted(b.names)
+    image = np.array([b.index(iso[x]) for x in a.names], dtype=np.intp)
+    assert np.array_equal(a.leq, b.leq[np.ix_(image, image)])
+
+
 def assert_reference_covers(p):
     """``p``'s cover arrays, both ways round, are the reference's pairs as
     read-only (2, covers) int32 arrays in row-major order (by upper, for

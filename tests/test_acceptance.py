@@ -10,13 +10,19 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import latticekit as lk
 import latticekit.freedist as fd
 from latticekit import catalog
 
-from conftest import distributive_fixture_lattices
+from conftest import (
+    assert_order_isomorphism,
+    distributive_fixture_lattices,
+    product_lattice,
+    reordered_lattice,
+)
 
 DEDEKIND = [2, 3, 6, 20, 168, 7581, 7828354]
 
@@ -75,6 +81,25 @@ def test_criterion_2_boolean_roundtrip_budget():
     assert rep.ok
     assert elapsed < 5.0, f"B10 roundtrip took {elapsed:.2f}s"
     report(f"criterion 2: J(irr(B10)) = B10 (1024 elements) in {elapsed:.2f}s")
+
+
+def test_criterion_2_lattice_isomorphism_budget():
+    # the J ∪ M search on lattices that are not distributive, with a shuffled
+    # copy of each: M3 x B7 (640 elements) and M3 x B10 (5120)
+    times = {}
+    for k in (7, 10):
+        l = product_lattice(catalog.diamond(), catalog.boolean_lattice(k))
+        shuffled = reordered_lattice(l, np.random.default_rng(k).permutation(l.n))
+        t0 = time.perf_counter()
+        iso = lk.lattice_isomorphic(l, shuffled)
+        times[k] = time.perf_counter() - t0
+        assert_order_isomorphism(iso, l, shuffled)
+    assert times[7] < 0.05, f"M3 x B7 took {times[7]:.3f}s"
+    assert times[10] < 1.0, f"M3 x B10 took {times[10]:.3f}s"
+    report(
+        f"criterion 2: M3 x B7 and M3 x B10 matched with shuffled copies in "
+        f"{times[7]:.3f}s and {times[10]:.3f}s"
+    )
 
 
 def test_criterion_3_second_case(case_n2_spec):

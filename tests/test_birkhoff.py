@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,18 +11,24 @@ from hypothesis import strategies as st
 
 import latticekit as lk
 import latticekit.freedist as fd
-from latticekit import birkhoff, catalog, cli
+from latticekit import birkhoff, catalog, cli, properties
 from latticekit.poset import order_ideal_masks
 
 from conftest import (
     BLOCK_CELLS,
     assert_covers_read_off,
+    assert_order_isomorphism,
     assert_reference_covers,
+    chain_lattice,
+    diamond_lattice,
     distributive_fixture_lattices,
+    product_lattice,
     reference_ideal_labels,
+    reference_lattices_isomorphic,
     reference_order_ideal_masks,
     reference_set_tables,
     reference_stanley_steps,
+    reordered_lattice,
     row_ints,
     table_blocks,
 )
@@ -294,6 +301,69 @@ class TestRoundtrip:
                 assert jl.le(a, b) == d12.le(iso[a], iso[b])
 
 
+class TestLatticeIsomorphism:
+    """One search on J ∪ M for every pair: the brute force's verdicts, a
+    verified map on shuffled products past the old n-element cap, a gate
+    on the irreducibles, and no property verdict."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        lattices = [catalog.pentagon(), catalog.diamond(), diamond_lattice(4)]
+        lattices += [product_lattice(catalog.diamond(), chain_lattice(1))]
+        for _ in range(50):
+            l = catalog.random_lattice(rng, max_size=8, universe=7)
+            lattices += [l, l.dual]
+        order = np.random.default_rng(seed)
+        lattices += [reordered_lattice(l, order.permutation(l.n)) for l in lattices[::3]]
+        for a, b in itertools.product(lattices, repeat=2):
+            if a.n == b.n:
+                iso = lk.lattice_isomorphic(a, b)
+                assert (iso is not None) == reference_lattices_isomorphic(a, b)
+                if iso is not None:
+                    assert_order_isomorphism(iso, a, b)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_shuffled_products(self, k):
+        # M3 x B_8 has 1280 elements, past the 1000 of the old n-element search
+        box = catalog.boolean_lattice(k)
+        m3, n5 = (product_lattice(factor(), box) for factor in (catalog.diamond, catalog.pentagon))
+        order = np.random.default_rng(k)
+        for l in (m3, n5):
+            shuffled = reordered_lattice(l, order.permutation(l.n))
+            for a, b in ((l, shuffled), (shuffled, l), (l.dual, shuffled)):
+                assert_order_isomorphism(lk.lattice_isomorphic(a, b), a, b)
+        assert lk.lattice_isomorphic(m3, n5) is None
+        assert lk.lattice_isomorphic(n5, m3) is None
+
+    def test_judges_nothing(self, monkeypatch):
+        def refuse(l):
+            raise AssertionError("a property verdict was computed")
+
+        monkeypatch.setattr(properties, "is_distributive", refuse)
+        lattices = [
+            fd.generate_lattice(3),
+            fd.generate_lattice(3).dual,
+            catalog.boolean_lattice(3),
+            catalog.diamond(),
+            catalog.pentagon(),
+            product_lattice(catalog.diamond(), catalog.boolean_lattice(1)),
+        ]
+        for a, b in itertools.product(lattices, repeat=2):
+            lk.lattice_isomorphic(a, b)
+        assert all(l.verdicts == {} for l in lattices)
+
+    def test_gate_counts_irreducibles(self, monkeypatch):
+        monkeypatch.setattr(birkhoff, "DEFAULT_ISO_CAP", 4)
+        b4 = catalog.boolean_lattice(4)  # 16 elements, |J| = |M| = 4
+        assert_order_isomorphism(lk.lattice_isomorphic(b4, b4.dual), b4, b4.dual)
+        m5 = diamond_lattice(5)  # |J| = |M| = 5
+        with pytest.raises(lk.SizeLimitExceeded, match=r"irreducibles \(got 5\)"):
+            lk.lattice_isomorphic(m5, m5)
+        # different numbers of irreducibles answer before the gate
+        assert lk.lattice_isomorphic(m5, chain_lattice(6)) is None
+
+
 class TestStanley:
     def test_two_chain(self):
         p = lk.build_poset(["x", "y"], [("x", "y")])
@@ -359,7 +429,15 @@ class TestResultGuards:
     """The result checks raise InvariantViolation, so ``python -O`` keeps them."""
 
     def test_irreducible_map_must_extend(self, monkeypatch, d12):
-        monkeypatch.setattr(birkhoff, "_extend_irreducible_map", lambda a, b, phi: None)
+        # a bijection that reverses the order
+        extend = birkhoff._join_extension
+        monkeypatch.setattr(birkhoff, "_join_extension", lambda *args: extend(*args)[::-1])
+        with pytest.raises(lk.InvariantViolation, match="failed to extend"):
+            lk.lattice_isomorphic(d12, d12)
+
+    def test_irreducible_map_must_be_a_bijection(self, monkeypatch, d12):
+        extend = birkhoff._join_extension
+        monkeypatch.setattr(birkhoff, "_join_extension", lambda *args: 0 * extend(*args))
         with pytest.raises(lk.InvariantViolation, match="failed to extend"):
             lk.lattice_isomorphic(d12, d12)
 

@@ -578,6 +578,13 @@ class TestBirkhoffVerbs:
         code, out, _ = run(capsys, "birkhoff", "roundtrip", FIXTURES / "divisor12.json")
         assert code == 0 and "ok" in out
 
+    def test_roundtrip_on_a_1000_chain(self, capsys, tmp_path):
+        # 999 join-irreducibles and a 1000-element J ∪ M, inside the search's
+        # cap: the recursive search ran out of stack here and exited 1
+        chain = [f"c{i}" for i in range(1000)]
+        path = write_poset(tmp_path / "chain.json", chain, zip(chain, chain[1:]))
+        assert run(capsys, "birkhoff", "roundtrip", path) == (0, "roundtrip: ok\n", "")
+
     def test_ideals_past_table_limit(self, capsys, tmp_path):
         # a 16-element antichain has 2^16 down-sets, more than int16 tables hold
         wide = tmp_path / "antichain16.json"

@@ -1,15 +1,18 @@
+import random
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latticekit as lk
 from latticekit import catalog
 from latticekit.poset import (
+    DEFAULT_ISO_CAP,
     RedundantCoverWarning,
     _c_ordered_copy,
+    _colored_isomorphism,
     _narrow_words,
     _pack_rows,
     _row_blocks,
@@ -18,8 +21,10 @@ from latticekit.poset import (
 
 from conftest import (
     BLOCK_CELLS,
+    assert_order_isomorphism,
     assert_reference_covers,
     reference_covers,
+    reference_is_isomorphic,
     row_ints,
     table_blocks,
 )
@@ -63,6 +68,12 @@ class TestBuild:
         with pytest.raises(lk.CycleDetected) as exc:
             lk.build_poset(list("abc"), [("a", "b"), ("b", "c"), ("c", "a")])
         assert len(exc.value.cycle) >= 3
+
+    def test_cycle_below_the_least_element(self):
+        # "a" is left unplaced, above the cycle, and reaches no cycle itself
+        with pytest.raises(lk.CycleDetected) as exc:
+            lk.build_poset(["a", "x", "y"], [("x", "a"), ("x", "y"), ("y", "x")])
+        assert exc.value.cycle == ["x", "y", "x"]
 
     def test_unknown_endpoint(self):
         with pytest.raises(lk.UnknownElement):
@@ -235,6 +246,55 @@ def test_isomorphism_found_after_relabeling(p, rng):
     for a in p.names:
         for b in p.names:
             assert p.le(a, b) == shuffled.le(iso[a], iso[b])
+
+
+def relabelled(p, rng):
+    """``p`` with its elements renamed and listed in a shuffled order."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    names = [f"r{k}" for k in range(p.n)]
+    return lk.build_poset(
+        [names[perm[i]] for i in range(p.n)],
+        [(names[perm[a]], names[perm[b]]) for a, b in p.cover_pairs],
+        warn_redundant=False,
+    )
+
+
+class TestIsomorphismSearch:
+    """The stack-based search returns the recursive search's maps, reaches
+    its own cap, and keeps the initial colours it is given."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_posets(), random_posets(), st.randoms(use_true_random=False))
+    @example(catalog.boolean_poset(3), catalog.boolean_poset(2), random.Random(3))
+    def test_same_map_as_the_recursive_search(self, p, other, rng):
+        for q in (p, relabelled(p, rng), lk.dual_poset(p), other):
+            iso = lk.is_isomorphic(p, q)
+            assert iso == reference_is_isomorphic(p, q)
+            if iso is not None:
+                assert_order_isomorphism(iso, p, q)
+
+    def test_chain_at_the_cap(self):
+        # the recursive search ran out of stack at about 975 elements
+        p = catalog.chain_poset(DEFAULT_ISO_CAP - 1)
+        q = relabelled(p, random.Random(0))
+        assert p.n == DEFAULT_ISO_CAP
+        assert_order_isomorphism(lk.is_isomorphic(p, q), p, q)
+
+    def test_colors_are_kept(self):
+        # equal posets whose two colours are swapped: the by-name map breaks them
+        pair = lk.build_poset(["x", "y"], [])
+        assert _colored_isomorphism(pair, pair, [1, 2], [1, 2]) == [0, 1]
+        assert _colored_isomorphism(pair, pair, [1, 2], [2, 1]) == [1, 0]
+        chain = lk.build_poset(["x", "y"], [("x", "y")])
+        assert _colored_isomorphism(chain, chain, [1, 2], [2, 1]) is None
+        # three kinds on a 4-element chain, four colours on a 2 + 2 crown
+        p = lk.build_poset(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
+        assert _colored_isomorphism(p, p, [2, 3, 3, 1], [2, 3, 3, 1]) == [0, 1, 2, 3]
+        assert _colored_isomorphism(p, p, [2, 3, 3, 1], [1, 3, 3, 2]) is None
+        crown = lk.build_poset(list("abcd"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+        assert _colored_isomorphism(crown, crown, [1, 2, 3, 4], [2, 1, 4, 3]) == [1, 0, 3, 2]
+        assert _colored_isomorphism(crown, crown, [1, 2, 3, 4], [3, 4, 1, 2]) is None
 
 
 def test_isomorphism_of_renamed_boolean_poset():
