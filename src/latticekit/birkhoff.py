@@ -4,8 +4,8 @@ J(P) construction (down-sets under union/intersection, cover edges labeled
 by the element they add), its inverse on join irreducibles, lattice
 isomorphism on the join- and meet-irreducibles, round-trip verification,
 and the incremental gluing construction that grows J(P) one join
-irreducible at a time.  J(P)'s tables and the construction's unions
-both go through the pair lookup in :mod:`latticekit.lattice`.
+irreducible at a time.  J(P)'s tables go through the pair lookup in
+:mod:`latticekit.lattice`.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from .errors import (
     UnknownElement,
 )
 from .freedist import _mask_indices
-from .lattice import (
-    Edge, Lattice, _check_limit, _pair_lookup, join_irreducibles, set_family_lattice
-)
+from .lattice import Edge, Lattice, _check_limit, join_irreducibles, set_family_lattice
 from .poset import (
     DEFAULT_IDEAL_CAP,
     DEFAULT_ISO_CAP,
@@ -35,6 +33,7 @@ from .poset import (
     _colored_isomorphism,
     _pack_rows,
     _row_blocks,
+    _set_covers,
     _subset_blocks,
     _unpack_rows,
     is_isomorphic,
@@ -115,8 +114,11 @@ def irreducible_poset(l: Lattice) -> Poset:
 
     if not is_distributive(l).distributive:
         raise NotDistributive("join-irreducible poset requires distributivity")
-    irr = join_irreducibles(l, include_bottom=False).names
-    return l.poset.restrict([l.index(x) for x in irr])
+    return _join_irreducible_poset(l)
+
+
+def _join_irreducible_poset(l: Lattice) -> Poset:
+    return l.poset.restrict([l.index(x) for x in join_irreducibles(l).names])
 
 
 def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[str, str]]:
@@ -208,11 +210,13 @@ class RoundtripReport:
 
 
 def birkhoff_roundtrip(l: Lattice) -> RoundtripReport:
-    """Verify J(irr(L)) = L and irr(J(P)) = P up to isomorphism."""
+    """Verify J(irr(L)) = L and irr(J(P)) = P up to isomorphism.  Only L
+    is judged distributive: J(P) is a ring of sets, and no verdict on it
+    could change the report, as L ≅ J(P) makes J(P) distributive."""
     p = irreducible_poset(l)
     jl = ideals_lattice(p)
     lattice_iso = lattice_isomorphic(jl.lattice, l)
-    p2 = irreducible_poset(jl.lattice)
+    p2 = _join_irreducible_poset(jl.lattice)
     poset_iso = is_isomorphic(p2, p)
     return RoundtripReport(
         lattice_iso is not None and poset_iso is not None, lattice_iso, poset_iso
@@ -227,7 +231,7 @@ class TraceStep:
     """One snapshot of the growing diagram.
 
     ``poset`` holds the nodes added so far (not necessarily a lattice yet);
-    cover edges that add a single generator carry that generator as label.
+    every cover edge adds one element of P, which labels it.
     """
 
     description: str
@@ -252,19 +256,15 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     then complete the Boolean algebra of joins above its base.  The final
     snapshot is exactly J(P).
 
-    The nodes are closed under union before each join irreducible I is
-    adjoined, so every new union is I ∪ w for a node w above I's base
-    (I ∪ u = I ∪ (u ∪ base)).  Each such w ≠ base holds a cover c of the
-    base; when I ∪ c is a node, it is an old one (it holds c, I does not),
-    and so is I ∪ w = (I ∪ c) ∪ w.  Closing from the covers of the base is
-    therefore enough: no further sweep for missing joins is needed.
-
-    No snapshot outgrows J(P), so J(P) is counted and gated up front
-    (:class:`SizeLimitExceeded` past ``cap`` or the int16 tables' size):
-    every node is a down-set of P.  A start node is a set of minimal
-    elements, a down-set since nothing lies below them; an adjoined node is
-    down(x); the closure adds unions of nodes, and unions of down-sets are
-    down-sets.  Nodes are distinct rows, so there are at most |J(P)|.
+    Each pass is Stanley's step (*EC1*, §3.4).  The processed elements form
+    a down-set Q of P, and the nodes are J(Q).  The next x has its strict
+    down-set, the base, in Q, and nothing in Q lies above x.  So a down-set
+    of Q ∪ {x} is a node, or it holds x and is w ∪ D for D = down(x) and a
+    node w ⊇ base; each such union is a down-set.  :func:`_glue` adds them
+    in one step.  The adjoin snapshot is J(Q) ∪ {D}; the completion is one
+    when it adds more rows.  Nodes are distinct down-sets of P, so J(P) is
+    counted and gated up front (:class:`SizeLimitExceeded` past ``cap`` or
+    the int16 tables' size).
     """
     ideals = order_ideal_masks(p, cap)
     _check_limit(len(ideals))
@@ -273,37 +273,29 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     strict = p.leq.T & ~np.eye(n, dtype=bool)  # strict[x]: the elements below x
     processed = ~strict.any(axis=1)  # the minimal elements
     minimal = np.flatnonzero(processed)
-    steps: list[TraceStep] = []
 
     subsets = np.zeros((2 ** len(minimal), n), dtype=bool)
     subsets[:, minimal] = np.arange(len(subsets))[:, None] >> np.arange(len(minimal)) & 1
     nodes = _canonical_rows(_pack_rows(subsets))
-
-    def snapshot(description):
-        steps.append(_snapshot(p, nodes, description))
-
-    snapshot(
+    description = (
         f"start from the minimal antichain ({len(minimal)} elements); "
         f"its down-sets form the Boolean lattice B_{len(minimal)}"
     )
+    steps = [_snapshot(p, nodes, description)]
 
     while not processed.all():
         x = int(np.flatnonzero(~processed & ~(strict & ~processed).any(axis=1))[0])
         base = _pack_rows(strict[x : x + 1])
         if not (nodes == base).all(axis=1).any():
             raise InvariantViolation("base of the new join irreducible is missing")
-        nodes = _canonical_rows(np.concatenate([nodes, down[x : x + 1]]))
-        snapshot(
-            f"adjoin join irreducible for {p.names[x]!r} covering "
-            f"{_node_name(p, strict[x])}"
-        )
-
-        closed = _close_under_union(nodes, _covers_of(nodes, base))
-        if closed is not None:
-            nodes = closed
-            snapshot(
-                f"complete the Boolean algebra of joins above {_node_name(p, strict[x])}"
-            )
+        covering = _node_name(p, strict[x])
+        adjoined = _canonical_rows(np.concatenate([nodes, down[x : x + 1]]))
+        description = f"adjoin join irreducible for {p.names[x]!r} covering {covering}"
+        steps.append(_snapshot(p, adjoined, description))
+        nodes = _glue(nodes, base, down[x : x + 1])
+        if len(nodes) > len(adjoined):
+            description = f"complete the Boolean algebra of joins above {covering}"
+            steps.append(_snapshot(p, nodes, description))
         processed[x] = True
 
     if not np.array_equal(nodes, ideals):
@@ -311,36 +303,11 @@ def stanley_construct(p: Poset, cap: int = DEFAULT_IDEAL_CAP) -> ConstructionTra
     return ConstructionTrace(tuple(steps))
 
 
-def _covers_of(nodes: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """The minimal rows of ``nodes`` strictly above the row ``base``."""
-    above = nodes[((nodes & base) == base).all(axis=1) & (nodes != base).any(axis=1)]
-    return above[_inclusion_order(above).sum(axis=0) == 1]
-
-
-def _inclusion_order(nodes: np.ndarray) -> np.ndarray:
-    """``leq[u, v]``: packed row u is a subset of row v.  Built one row
-    block at a time, so nothing beyond the (m, m) result is m²-sized."""
-    leq = np.empty((len(nodes), len(nodes)), dtype=bool)
-    for block, inside in _subset_blocks(nodes):
-        leq[block] = inside
-    return leq
-
-
-def _close_under_union(nodes: np.ndarray, seeds: np.ndarray) -> Optional[np.ndarray]:
-    """``nodes`` closed under union, or None when every union of two
-    ``seeds`` rows is already a node.  After the first round every node is
-    a seed; the unions that :func:`_pair_lookup` misses among the nodes are
-    the fresh ones."""
-    closed = None
-    while True:
-        fresh = [seeds[:0]]
-        for block, _, missing in _pair_lookup(seeds, np.bitwise_or, nodes):
-            i, j = np.argwhere(missing).T + block.start
-            fresh.append(seeds[i] | seeds[j])
-        fresh = np.concatenate(fresh)
-        if not len(fresh):
-            return closed
-        nodes = seeds = closed = _canonical_rows(np.concatenate([nodes, fresh]))
+def _glue(nodes: np.ndarray, base: np.ndarray, joined: np.ndarray) -> np.ndarray:
+    """``nodes`` and ``joined`` ∪ w for the nodes w ⊇ ``base``, in canonical
+    order: J(Q ∪ {x}) from J(Q) (see :func:`stanley_construct`)."""
+    above = ((nodes & base) == base).all(axis=1)
+    return _canonical_rows(np.concatenate([nodes, nodes[above] | joined]))
 
 
 def _node_name(p: Poset, members: np.ndarray) -> str:
@@ -348,19 +315,43 @@ def _node_name(p: Poset, members: np.ndarray) -> str:
 
 
 def _snapshot(p: Poset, nodes: np.ndarray, description: str) -> TraceStep:
-    """The nodes (packed rows in canonical order) under inclusion; a cover
-    edge that adds one element is labeled by it."""
+    """The nodes (packed rows in canonical order) under inclusion, each
+    cover edge labeled by the one element it adds.
+
+    A snapshot is J(Q) or J(Q) ∪ {D} (see :func:`stanley_construct`), and
+    in both u ⋖ v exactly when u ⊂ v and |v| = |u| + 1, so the covers come
+    from the pass that builds the order, with no bare-order rule.  In J(Q),
+    u ⊂ v with |v| ≥ |u| + 2 has the node u ∪ {y} strictly between, for y
+    minimal in v less u.  No node of J(Q) holds x, so none lies above D,
+    and the nodes below D lie in the base, one element below D."""
     bits = _unpack_rows(nodes, p.n)
     names = [_node_name(p, row) for row in bits.tolist()]
-    snap = Poset(names, _inclusion_order(nodes))
+    leq, covers = _inclusion_covers(nodes, bits.sum(axis=1))
+    snap = Poset(names, leq)
+    _set_covers(snap, covers)
     lower, upper = snap.cover_arrays
-    added = bits[upper] & ~bits[lower]
-    one = np.flatnonzero(added.sum(axis=1) == 1)
+    added = np.nonzero(bits[upper] & ~bits[lower])[1]
     labels: dict[Edge, str] = {
-        (names[lower[k]], names[upper[k]]): p.names[x]
-        for k, x in zip(one.tolist(), np.nonzero(added[one])[1].tolist())
+        (names[i], names[j]): p.names[x]
+        for i, j, x in zip(lower.tolist(), upper.tolist(), added.tolist())
     }
     return TraceStep(description, snap, labels)
+
+
+def _inclusion_covers(nodes: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``leq[u, v]`` (row u ⊆ row v) and the (2, k) pairs u ⊆ v with
+    ``sizes[v] = sizes[u] + 1``, row-major, for rows with ``sizes``
+    ascending.  One pass over row blocks (:func:`_subset_blocks`): nothing
+    beyond the order is m²-sized, and pairs are sought one size up."""
+    leq = np.empty((len(nodes), len(nodes)), dtype=bool)
+    pairs = []
+    for block, inside in _subset_blocks(nodes):
+        leq[block] = inside
+        above = sizes[block, None] + 1
+        lo, hi = np.searchsorted(sizes, [above[0, 0], above[-1, 0] + 1])
+        lower, upper = np.nonzero(inside[:, lo:hi] & (sizes[lo:hi] == above))
+        pairs.append(np.stack([lower + block.start, upper + lo]))
+    return leq, np.concatenate(pairs, axis=1)
 
 
 # -- evaluation of free-lattice elements ---------------------------------------

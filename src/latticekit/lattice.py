@@ -5,15 +5,14 @@ A :class:`Lattice` is a poset and its two tables; its constructor checks
 them and reads the bottom and top off the order, so no builder passes them.
 
 Every meet/join table comes from one pair lookup, :func:`_pair_lookup`:
-two packed rows combined by ``&`` or ``|``, found among the rows of a
-family.  One-word rows with keys below len(rows)² (the down-sets of P when
+two packed rows combined by ``&`` or ``|``, found among the same rows.
+One-word rows with keys below len(rows)² (the down-sets of P when
 2^|P| ≤ |J(P)|², the truth tables of FD(3)) are read off a dense index of
 every key; all others, multi-word rows and wide keys such as FD(5)'s
 32-bit truth tables, by a sorted search.  ``as_lattice`` looks up
 intersections of principal down-sets (and up-sets), cut to the
-irreducibles when that keeps the order, ``set_family_tables`` the
-intersections and unions of a closed family, and Stanley's construction in :mod:`latticekit.birkhoff`
-the unions of its nodes.
+irreducibles when that keeps the order, and ``set_family_tables`` the
+intersections and unions of a closed family.
 
 Covers are :attr:`Poset.cover_arrays`, sorted (lower, upper) index pairs.
 A lattice of sets reads them off its join table (:func:`_ring_covers`),
@@ -371,7 +370,7 @@ def as_lattice(p: Poset) -> Lattice:
     for table, bounds, rows, flags in ((join, p.leq, psi, above), (meet, p.leq.T, phi, below)):
         if not _reflects_order(rows, bounds, wanted=~(flags & own)):
             rows = _pack_rows(bounds)
-        for block, found, missing in _pair_lookup(rows, np.bitwise_and, rows):
+        for block, found, missing in _pair_lookup(rows, np.bitwise_and):
             table[block, block.start :] = found
             table[block.start :, block] = found.T
             bad[block] |= missing.any(axis=1)
@@ -408,54 +407,53 @@ def _check_limit(n: int, limit: Optional[int] = None) -> None:
         raise SizeLimitExceeded(f"meet/join tables hold at most {TABLE_LIMIT} elements (got {n})")
 
 
-def _pair_lookup(rows: np.ndarray, op, family: np.ndarray):
-    """Where ``op`` of two rows lies in ``family``, one row block at a time.
+def _pair_lookup(rows: np.ndarray, op):
+    """Where ``op`` of two rows lies among the rows, one row block at a time.
 
-    ``rows`` and ``family`` are packed (m, words) uint64 arrays and ``op``
-    is ``np.bitwise_and`` or ``np.bitwise_or``.  For each block of rows i
-    (see :func:`_row_blocks`) this yields ``(block, found, missing)``: for
-    every j from the block's first row on, ``op(rows[i], rows[j])`` is
-    ``family[found[i', j']]`` (i', j' counted from the block's first row),
-    unless ``missing[i', j']`` is set because no family row equals it.
-    When a row repeats in ``family``, the lowest of its indices is found.
+    ``rows`` is a packed (m, words) uint64 array and ``op`` is
+    ``np.bitwise_and`` or ``np.bitwise_or``.  For each block of rows i (see
+    :func:`_row_blocks`) this yields ``(block, found, missing)``: for every
+    j from the block's first row on, ``op(rows[i], rows[j])`` is
+    ``rows[found[i', j']]`` (i', j' counted from the block's first row),
+    unless ``missing[i', j']`` is set because no row equals it.  When a row
+    repeats, the lowest of its indices is found.
 
     One-word rows whose keys are small (see :func:`_dense_index`) are read
     off a dense index of every key; every other result is found by a
-    sorted search on the family's keys and confirmed word by word.
+    sorted search on the rows' keys and confirmed word by word.
     """
-    slot = _dense_index(rows, family)
+    slot = _dense_index(rows)
     if slot is not None:
         words = rows[:, 0].astype(np.intp)  # below len(slot), so exact
         for block in _row_blocks(len(rows), rows.size):
             found = slot.take(op(words[block, None], words[block.start :]))
             yield block, found, found < 0
         return
-    keys = _set_keys(family)
+    keys = _set_keys(rows)
     order = np.argsort(keys, kind="stable")
-    sorted_keys, sorted_rows = keys[order], family[order]
+    sorted_keys, sorted_rows = keys[order], rows[order]
     for block in _row_blocks(len(rows), rows.size):
         results = op(rows[block, None], rows[None, block.start :])
         pos = np.minimum(np.searchsorted(sorted_keys, _set_keys(results)), len(order) - 1)
         yield block, order[pos], (sorted_rows.take(pos, axis=0) != results).any(axis=2)
 
 
-def _dense_index(rows: np.ndarray, family: np.ndarray) -> Optional[np.ndarray]:
-    """``slot[key]``: the lowest index of the family row ``key``, else -1.
+def _dense_index(rows: np.ndarray) -> Optional[np.ndarray]:
+    """``slot[key]``: the lowest index of the row ``key``, else -1.
 
-    Only for one-word rows (``family`` is as wide as ``rows``), and only
-    when the index is no larger than the lookups it serves: every ``&`` or
-    ``|`` of two rows is at most ``span - 1``, the OR of all words, and
-    ``span`` must not exceed ``len(rows)²``.  Otherwise None, and the
-    lookup searches.  Families have at most ``TABLE_LIMIT`` rows, so int16
-    holds every index.
+    Only for one-word rows, and only when the index is no larger than the
+    lookups it serves: every ``&`` or ``|`` of two rows is at most
+    ``span - 1``, the OR of all words, and ``span`` must not exceed
+    ``len(rows)²``.  Otherwise None, and the lookup searches.  Tables have
+    at most ``TABLE_LIMIT`` rows, so int16 holds every index.
     """
     if rows.shape[1] != 1:
         return None
-    span = int(np.bitwise_or.reduce(np.concatenate([rows, family]), axis=None)) + 1
+    span = int(np.bitwise_or.reduce(rows, axis=None)) + 1
     if span > len(rows) ** 2:
         return None
     slot = np.full(span, -1, dtype=np.int16)
-    keys, first = np.unique(family[:, 0].astype(np.intp), return_index=True)
+    keys, first = np.unique(rows[:, 0].astype(np.intp), return_index=True)
     slot[keys] = first
     return slot
 
@@ -502,7 +500,7 @@ def set_family_tables(members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     meet = np.empty((m, m), dtype=np.int16)
     join = np.empty((m, m), dtype=np.int16)
     tables = ((meet, "intersection"), (join, "union"))
-    lookups = [_pair_lookup(members, op, members) for op in (np.bitwise_and, np.bitwise_or)]
+    lookups = [_pair_lookup(members, op) for op in (np.bitwise_and, np.bitwise_or)]
     for blocks in zip(*lookups):  # each row block's intersections, then its unions
         for (block, found, missing), (table, name) in zip(blocks, tables):
             if missing.any():

@@ -102,14 +102,15 @@ class Poset:
         Every builder that knows its pairs sets them when it builds the
         poset (:func:`_set_covers`): :func:`build_poset` from the pairs it
         was given, lattices of sets (:func:`latticekit.lattice.set_family_lattice`:
-        J(P), B_n, FD(n)) from their join table, and the dual, intervals and
-        adjoined bounds of a lattice from its own pairs.  Covers read off
+        J(P), B_n, FD(n)) from their join table, Stanley's snapshots from
+        their one-element steps, and the dual, intervals and adjoined
+        bounds of a lattice from its own pairs.  Covers read off
         tables are safe to hand the constructor's check (which reads them on
         rows wider than a word) only because those tables are already known
         to be right: ``set_family_tables`` confirms every ∩ and ∪ word by
         word, and a ring of sets is distributive.  A poset built from a bare
-        order (Stanley's snapshots, :meth:`restrict`, ``Poset(names, leq)``
-        handed to ``as_lattice``) finds them here, on first use, by the rule
+        order (:meth:`restrict`, ``Poset(names, leq)`` handed to
+        ``as_lattice``) finds them here, on first use, by the rule
         :func:`build_poset` uses on its listed pairs, applied to all strict
         pairs (:func:`_order_covers`).  Grading, chains, isomorphism,
         interval classes, the modular and pentagon certificates and the

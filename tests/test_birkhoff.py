@@ -19,6 +19,7 @@ from conftest import (
     assert_covers_read_off,
     assert_order_isomorphism,
     assert_reference_covers,
+    bare_order_rule_forbidden,
     chain_lattice,
     diamond_lattice,
     distributive_fixture_lattices,
@@ -234,16 +235,19 @@ class TestPackedRowsMatchIntMasks:
 
 
 def test_snapshot_order_scratch_on_the_11_antichain():
-    """Stanley's snapshot order is built in row blocks: on B_11's 2048
-    nodes it needs at most twice its own 2048² booleans."""
+    """Stanley's snapshot order and covers are built in one pass over row
+    blocks: on B_11's 2048 nodes it needs at most twice the order's own
+    2048² booleans."""
     nodes = order_ideal_masks(catalog.antichain_poset(11))
+    sizes = np.array([bin(w).count("1") for w in nodes[:, 0].tolist()])
     tracemalloc.start()
     try:
-        leq = birkhoff._inclusion_order(nodes)
+        leq, covers = birkhoff._inclusion_covers(nodes, sizes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert leq.sum() == 3**11  # pairs u ⊆ v of subsets of 11 elements
+    assert covers.shape == (2, 11 * 2**10)  # each subset less one of its elements
     assert peak <= 2 * len(nodes) ** 2
 
 
@@ -416,6 +420,15 @@ class TestStanley:
             assert seen <= nodes
             seen = nodes
 
+    def test_snapshot_covers_are_set_by_the_construction(self, case_n1_spec):
+        posets = [catalog.chain_poset(2), catalog.boolean_poset(3)]
+        posets += [lk.irreducible_order(case_n1_spec), *catalog.three_element_posets().values()]
+        with bare_order_rule_forbidden():
+            for p in posets:
+                for step in lk.stanley_construct(p).steps:
+                    assert_reference_covers(step.poset)
+                    assert list(step.labels) == step.poset.cover_names()
+
     def test_trace_deterministic(self):
         p = catalog.boolean_poset(2)
         t1 = lk.stanley_construct(p)
@@ -453,7 +466,7 @@ class TestResultGuards:
     def test_stanley_must_converge(self, monkeypatch, covers, message):
         names = sorted({x for pair in covers for x in pair} | {"b"})
         p = lk.build_poset(names, covers)
-        monkeypatch.setattr(birkhoff, "_close_under_union", lambda nodes, seeds: None)
+        monkeypatch.setattr(birkhoff, "_glue", lambda nodes, base, joined: nodes)
         with pytest.raises(lk.InvariantViolation, match=message):
             lk.stanley_construct(p)
 

@@ -615,11 +615,11 @@ class TestDualView:
         assert_dual_view_handed_over(l)
 
 
-def reference_pair_lookup(rows, op, family):
-    """Pair loop over one-word rows as Python ints: the lowest family index
-    of op(rows[i], rows[j]) for j >= i, and where there is none."""
+def reference_pair_lookup(rows, op):
+    """Pair loop over one-word rows as Python ints: the lowest row index of
+    op(rows[i], rows[j]) for j >= i, and where there is none."""
     words, index = rows[:, 0].tolist(), {}
-    for k, w in enumerate(family[:, 0].tolist()):
+    for k, w in enumerate(words):
         index.setdefault(w, k)
     m = len(words)
     found = np.full((m, m), -1)
@@ -629,12 +629,12 @@ def reference_pair_lookup(rows, op, family):
     return found
 
 
-def gathered_lookup(rows, op, family):
+def gathered_lookup(rows, op):
     """_pair_lookup's blocks as one (m, m) array: found where a row is
     found, -1 where it is missing, -2 below the diagonal."""
     m = len(rows)
     found = np.full((m, m), -2)
-    for block, hits, missing in lattice_module._pair_lookup(rows, op, family):
+    for block, hits, missing in lattice_module._pair_lookup(rows, op):
         found[block, block.start :] = np.where(missing, -1, hits)
     return found
 
@@ -643,7 +643,7 @@ class TestPairLookupPaths:
     """The dense index and the sorted search find the same rows."""
 
     @staticmethod
-    def family(rng, m, bits):
+    def rows(rng, m, bits):
         words = rng.choice(1 << bits, size=m, replace=False)
         words[m - 1] = words[1]  # a repeated row: index 1 must win
         return words.astype(np.uint64)[:, None]
@@ -651,36 +651,35 @@ class TestPairLookupPaths:
     @pytest.mark.parametrize("cells", BLOCK_CELLS)
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
-        "bits, dense", [(6, (True, True)), (10, (True, False)), (12, (False, False)), (20, (False, False))]
+        "bits, dense",
+        [(6, True), (10, True), (12, False), (20, False)],
+        ids=["6-dense0", "10-dense1", "12-dense2", "20-dense3"],
     )
     def test_matches_pair_loop(self, cells, seed, bits, dense):
-        # 45 family rows serve 45² = 2025 lookups and 30 other rows 900:
-        # 10-bit keys take the index for the first and not the second
+        # 45 rows serve 45² = 2025 lookups: 10-bit keys take the index
         rng = np.random.default_rng(seed)
-        family = self.family(rng, 45, bits)
-        others = rng.choice(1 << bits, size=30, replace=False).astype(np.uint64)[:, None]
-        for rows, indexed in zip((family, others), dense):
-            assert (lattice_module._dense_index(rows, family) is not None) == indexed
-            for op, ref_op in ((np.bitwise_and, int.__and__), (np.bitwise_or, int.__or__)):
-                with table_blocks(cells):
-                    found = gathered_lookup(rows, op, family)
-                expected = reference_pair_lookup(rows, ref_op, family)
-                upper = np.triu(np.ones(found.shape, dtype=bool))
-                assert np.array_equal(found[upper], expected[upper])
-                assert (found[upper] == -1).any()  # misses are reported
+        rows = self.rows(rng, 45, bits)
+        assert (lattice_module._dense_index(rows) is not None) == dense
+        for op, ref_op in ((np.bitwise_and, int.__and__), (np.bitwise_or, int.__or__)):
+            with table_blocks(cells):
+                found = gathered_lookup(rows, op)
+            expected = reference_pair_lookup(rows, ref_op)
+            upper = np.triu(np.ones(found.shape, dtype=bool))
+            assert np.array_equal(found[upper], expected[upper])
+            assert (found[upper] == -1).any()  # misses are reported
         # the repeated row is found at its lowest index
-        assert gathered_lookup(family, np.bitwise_and, family)[1, 1] == 1
+        assert gathered_lookup(rows, np.bitwise_and)[1, 1] == 1
 
     def test_selection_rule(self):
         def dense(*words):
             rows = np.array(words, dtype=np.uint64)[:, None]
-            return lattice_module._dense_index(rows, rows) is not None
+            return lattice_module._dense_index(rows) is not None
 
         assert dense(0, 1, 2, 15)  # span 16 = 4²
         assert not dense(0, 0, 0, 16)  # span 17 > 4²
         assert not dense(0, 1 << 40, 1 << 41, 3 << 40)
         wide = np.zeros((4, 2), dtype=np.uint64)  # two words per row, all keys 0
-        assert lattice_module._dense_index(wide, wide) is None
+        assert lattice_module._dense_index(wide) is None
 
     @pytest.fixture
     def paths(self, monkeypatch):
@@ -688,8 +687,8 @@ class TestPairLookupPaths:
         chosen = []
         dense_index = lattice_module._dense_index
 
-        def spy(rows, family):
-            chosen.append(dense_index(rows, family))
+        def spy(rows):
+            chosen.append(dense_index(rows))
             return chosen[-1]
 
         monkeypatch.setattr(lattice_module, "_dense_index", spy)
